@@ -31,7 +31,6 @@ from .features import (
     WalkConfig,
     normalize_features,
     random_walk_features,
-    user_attribute_vector,
     user_feature_matrix,
 )
 from .graphs import (

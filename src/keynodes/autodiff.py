@@ -11,6 +11,7 @@ clamp_min'(at the bound) = 1.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -482,10 +483,15 @@ def load_checkpoint(path) -> ParamStore:
     store = ParamStore()
     while pos < len(blob):
         (name_len,) = struct.unpack("<Q", take(8, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: tensor name is not UTF-8") from None
+        if name in store:
+            raise DataError(f"{path}: duplicate tensor {name!r}")
         (rank,) = struct.unpack("<Q", take(8, "rank"))
-        dims = tuple(struct.unpack("<Q", take(8, "dims"))[0] for _ in range(rank))
-        count = int(np.prod(dims)) if dims else 1
+        dims = struct.unpack(f"<{rank}Q", take(8 * rank, "dims"))
+        count = math.prod(dims)  # Python ints: huge dims cannot wrap to a small count
         data = np.frombuffer(take(8 * count, f"tensor {name!r}"), dtype="<f8")
         store[name] = data.reshape(dims).astype(np.float64)
     return store

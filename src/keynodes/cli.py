@@ -48,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=_nonneg_int, default=0, help="master RNG seed (default 0)")
         p.add_argument("--config", default=None, help="key = value file supplying flag defaults")
-        p.add_argument("--jobs", type=int, default=1, help="worker cap for parallel sections")
 
     p = sub.add_parser("gen", help="generate a synthetic cascade dataset")
     p.add_argument("--out", required=True, help="output dataset directory")
@@ -114,8 +113,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse argv, letting an optional --config file supply defaults."""
+    """Parse argv, letting an optional --config file supply defaults.
+
+    Each value goes through its flag's own ``type`` and ``choices``; a bad
+    one is a DataError naming ``path:line``.
+    """
     args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
@@ -125,10 +131,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
     sub = None
     for action in parser._subparsers._group_actions:  # find the active subparser
         sub = action.choices[args.command]
-    option_types: dict[str, argparse.Action] = {}
-    for action in sub._actions:
-        if action.dest not in ("help",):
-            option_types[action.dest] = action
+    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
     overrides = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         s = line.strip()
@@ -137,22 +140,35 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         if "=" not in s:
             raise DataError(f"{path}:{lineno}: expected 'key = value'")
         key, _, raw = s.partition("=")
-        dest = key.strip().replace("-", "_")
-        if dest not in option_types:
-            raise DataError(f"{path}:{lineno}: unknown option {key.strip()!r}")
-        action = option_types[dest]
-        raw = raw.strip()
-        if isinstance(action, argparse._StoreTrueAction):
-            overrides[dest] = raw.lower() in ("1", "true", "yes")
-        elif isinstance(action, argparse._AppendAction):
-            overrides[dest] = [v.strip() for v in raw.split(",") if v.strip()]
-        elif action.type is not None:
-            overrides[dest] = action.type(raw)
-        else:
-            overrides[dest] = raw
+        key, raw = key.strip(), raw.strip()
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise DataError(f"{path}:{lineno}: unknown option {key!r}")
+        try:
+            overrides[action.dest] = _config_value(action, raw)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise DataError(f"{path}:{lineno}: bad value {raw!r} for {key}: {exc}") from None
     # explicit flags win: re-parse with file values as defaults
     sub.set_defaults(**overrides)
     return parser.parse_args(argv)
+
+
+def _config_value(action: argparse.Action, raw: str):
+    """Convert one config-file value the way argparse would convert the flag."""
+    if isinstance(action, argparse._StoreTrueAction):
+        if raw.lower() not in _BOOLS:
+            raise ValueError(f"expected one of {', '.join(_BOOLS)}")
+        return _BOOLS[raw.lower()]
+
+    def one(text):
+        val = action.type(text) if action.type is not None else text
+        if action.choices is not None and val not in action.choices:
+            raise ValueError(f"choose from {', '.join(map(str, action.choices))}")
+        return val
+
+    if isinstance(action, argparse._AppendAction):
+        return [one(v.strip()) for v in raw.split(",") if v.strip()]
+    return one(raw)
 
 
 def main(argv=None) -> int:
@@ -398,7 +414,6 @@ def cmd_compare(args) -> int:
         d_cover=args.d_cover,
         scorers=scorers,
         names=names,
-        jobs=args.jobs,
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())

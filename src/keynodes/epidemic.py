@@ -9,7 +9,6 @@ weakly-connected component after deleting the seed set.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +88,7 @@ def infection_rate(g: CascadeGraph, seeds, cfg: SirConfig) -> tuple[float, float
     """Monte-Carlo mean and standard error of the final infected fraction.
 
     Each run draws from its own (seed, run) stream, so the estimate is
-    independent of run order and parallelism.
+    independent of run order.
     """
     mu = cfg.mu if cfg.mu is not None else default_mu(g)
     counts = np.empty(cfg.runs, dtype=np.int64)
@@ -191,13 +190,14 @@ def compare_methods(
     d_cover: int = 1,
     scorers: dict | None = None,
     names: list[str] | None = None,
-    jobs: int = 1,
 ) -> EvalReport:
     """Evaluate every method on every graph: S_t (Monte-Carlo) and R.
 
-    `scorers` supplies score callables ``(graph, graph_index) -> array`` for
-    model-based methods; built-in names are degree, kshell, hindex,
-    leaderrank, greedy, and random.
+    Rows come graph by graph, methods in the given order; graph ``gi`` is
+    labelled ``names[gi]`` (default ``graph<gi>``) and draws its SIR runs
+    from the ``(cfg.rng_seed, gi)`` stream.  `scorers` supplies score
+    callables ``(graph, graph_index) -> array`` for model-based methods;
+    built-in names are degree, kshell, hindex, leaderrank, greedy, and random.
     """
     methods = list(methods)
     valid = set(BUILTIN_METHODS) | set(scorers or {})
@@ -208,23 +208,15 @@ def compare_methods(
         raise DataError(f"fraction must be in (0, 1], got {seed_fraction}")
     names = names if names is not None else [f"graph{gi}" for gi in range(len(graphs))]
 
-    def eval_graph(gi: int) -> list[EvalRow]:
-        g = graphs[gi]
+    rows = []
+    for gi, g in enumerate(graphs):
         mu = cfg.mu if cfg.mu is not None else default_mu(g)
         k = math.ceil(seed_fraction * g.n)
         rcfg = SirConfig(mu=mu, runs=cfg.runs, rng_seed=derived_seed(cfg.rng_seed, gi))
-        rows = []
         for method in methods:
             seeds = _select_for_method(method, g, gi, k, seed_fraction, d_cover, cfg, scorers)
             st, se = infection_rate(g, seeds, rcfg)
             rows.append(
                 EvalRow(names[gi], method, st, se, robustness(g, seeds), mu, cfg.runs, seed_fraction)
             )
-        return rows
-
-    if jobs > 1 and len(graphs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_graph = list(pool.map(eval_graph, range(len(graphs))))
-    else:
-        per_graph = [eval_graph(gi) for gi in range(len(graphs))]
-    return EvalReport([row for rows in per_graph for row in rows])
+    return EvalReport(rows)

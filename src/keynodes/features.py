@@ -43,33 +43,13 @@ class FeatureMatrix:
             raise DataError(f"{self.view_tag} features contain NaN/Inf")
 
 
-def user_attribute_vector(g: CascadeGraph, v: int) -> np.ndarray:
-    """The 9 profile features of node v, in fixed order.
-
-    (name chars, description chars, followers, friends, statuses,
-    verified, geo_enabled, retweet delay seconds, hops from the source).
-    Absent fields map to 0; an unreachable node maps feature 9 to 0.
-    """
-    if not (0 <= v < g.n):
-        raise DataError(f"node {v} out of range for n={g.n}")
-    u = g.users[v] if g.users is not None else None
-    dist = bfs_distances(g, g.source)[v]
-    vec = np.zeros(USER_DIM, dtype=np.float64)
-    if u is not None:
-        vec[0] = len(u.name) if u.name is not None else 0
-        vec[1] = len(u.description) if u.description is not None else 0
-        vec[2] = u.followers_count or 0
-        vec[3] = u.friends_count or 0
-        vec[4] = u.statuses_count or 0
-        vec[5] = 1.0 if u.verified else 0.0
-        vec[6] = 1.0 if u.geo_enabled else 0.0
-        vec[7] = u.retweet_delay_s or 0.0
-    vec[8] = max(dist, 0)
-    return vec
-
-
 def user_feature_matrix(g: CascadeGraph) -> FeatureMatrix:
-    """Raw (unnormalized) user-attribute view for every node."""
+    """Raw (unnormalized) user-attribute view, one row per node.
+
+    Columns: name chars, description chars, followers, friends, statuses,
+    verified, geo_enabled, retweet delay seconds, hops from the source.
+    Absent fields map to 0; an unreachable node has 0 hops.
+    """
     dist = bfs_distances(g, g.source)
     mat = np.zeros((g.n, USER_DIM), dtype=np.float64)
     for v in range(g.n):

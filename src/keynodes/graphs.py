@@ -9,7 +9,7 @@ sidecar label list for reporting.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,8 +74,7 @@ class CascadeGraph:
     """Immutable directed graph of one cascade.
 
     Construction deduplicates edges and drops self-loops (adjacency is a
-    set).  All derived adjacency structures are built lazily and cached;
-    instances are safe for concurrent read access.
+    set).  All derived adjacency structures are built lazily and cached.
     """
 
     def __init__(self, n, edges, delays=None, users=None, labels=None, source=None):
@@ -105,20 +104,15 @@ class CascadeGraph:
         self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
         self._out = None
         self._in = None
-        self._und = None
         self._und_graph = None
         self.source = int(source) if source is not None else self._find_source()
 
     # -- adjacency ---------------------------------------------------------
 
     def _build_adj(self):
-        out = [[] for _ in range(self.n)]
-        inn = [[] for _ in range(self.n)]
-        for a, b in self.edges:
-            out[a].append(b)
-            inn[b].append(a)
-        self._out = tuple(np.array(sorted(x), dtype=np.int64) for x in out)
-        self._in = tuple(np.array(sorted(x), dtype=np.int64) for x in inn)
+        src, dst = self.edges[:, 0], self.edges[:, 1]
+        self._out = _sorted_lists(src, dst, self.n)
+        self._in = _sorted_lists(dst, src, self.n)
 
     @property
     def out_adj(self):
@@ -135,13 +129,7 @@ class CascadeGraph:
     @property
     def und_adj(self):
         """Undirected simple adjacency (reciprocal edges collapse)."""
-        if self._und is None:
-            nbrs = [set() for _ in range(self.n)]
-            for a, b in self.edges:
-                nbrs[a].add(b)
-                nbrs[b].add(a)
-            self._und = tuple(np.array(sorted(x), dtype=np.int64) for x in nbrs)
-        return self._und
+        return self.undirected().out_adj
 
     def out_degrees(self) -> np.ndarray:
         deg = np.zeros(self.n, dtype=np.int64)
@@ -172,12 +160,11 @@ class CascadeGraph:
                 return v
         return 0
 
-    def node_delay(self, v: int) -> float | None:
-        """Seconds after the source post at which v first retweeted."""
-        mask = self.edges[:, 1] == v
-        if not mask.any():
-            return None
-        return float(self.delays[mask].min())
+
+def _sorted_lists(keys, vals, n):
+    """Per key 0..n-1, the ascending array of its vals."""
+    order = np.lexsort((vals, keys))
+    return tuple(np.split(vals[order], np.cumsum(np.bincount(keys, minlength=n))[:-1]))
 
 
 def _bfs(adj, start, max_depth=None):
@@ -319,27 +306,16 @@ def load_cascade(dir_path) -> CascadeGraph:
         profiles = _parse_users(upath, ids)
 
     g = CascadeGraph(n, raw_edges, raw_delays, labels=labels)
-    users = []
-    for v in range(n):
-        delay = g.node_delay(v)
-        prof = profiles.get(v)
-        if prof is None and delay is None:
-            users.append(UserRecord())
-        elif prof is None:
-            users.append(UserRecord(retweet_delay_s=delay))
-        else:
-            users.append(
-                UserRecord(
-                    name=prof.name,
-                    description=prof.description,
-                    followers_count=prof.followers_count,
-                    friends_count=prof.friends_count,
-                    statuses_count=prof.statuses_count,
-                    verified=prof.verified,
-                    geo_enabled=prof.geo_enabled,
-                    retweet_delay_s=delay,
-                )
-            )
+    # a node's retweet delay is its earliest kept in-edge; the source has none
+    first = np.full(n, np.inf)
+    np.minimum.at(first, g.edges[:, 1], g.delays)
+    users = [
+        replace(
+            profiles.get(v, UserRecord()),
+            retweet_delay_s=float(first[v]) if np.isfinite(first[v]) else None,
+        )
+        for v in range(n)
+    ]
     return CascadeGraph(
         n, raw_edges, raw_delays, users=users, labels=labels, source=g.source
     )
@@ -467,15 +443,15 @@ def synth_cascade(
     rng = np.random.default_rng(rng_seed)
 
     outdeg = np.zeros(n_nodes, dtype=np.int64)
-    node_delay = np.zeros(n_nodes, dtype=np.float64)
+    retweet_time = np.zeros(n_nodes, dtype=np.float64)
     edges: list[tuple[int, int]] = []
     delays: list[float] = []
     for t in range(1, n_nodes):
         w = outdeg[:t] + 1.0
         parent = int(rng.choice(t, p=w / w.sum()))
         edges.append((parent, t))
-        node_delay[t] = node_delay[parent] + rng.exponential(60.0)
-        delays.append(node_delay[t])
+        retweet_time[t] = retweet_time[parent] + rng.exponential(60.0)
+        delays.append(retweet_time[t])
         outdeg[parent] += 1
 
     present = set(edges)
@@ -491,7 +467,7 @@ def synth_cascade(
             continue
         present.add((src, dst))
         edges.append((src, dst))
-        delays.append(max(node_delay[src], node_delay[dst]) + rng.exponential(60.0))
+        delays.append(max(retweet_time[src], retweet_time[dst]) + rng.exponential(60.0))
         outdeg[src] += 1
         added += 1
 
@@ -521,7 +497,7 @@ def synth_cascade(
                 statuses_count=statuses,
                 verified=verified,
                 geo_enabled=geo,
-                retweet_delay_s=float(node_delay[v]) if v != 0 else None,
+                retweet_delay_s=float(retweet_time[v]) if v != 0 else None,
             )
         )
     return CascadeGraph(n_nodes, edges, delays, users=users, source=0)

@@ -1,5 +1,8 @@
+import zlib
+
 import numpy as np
 import pytest
+from conftest import HOSTILE_CASES, hostile_checkpoint
 
 from keynodes.autodiff import (
     CHECKPOINT_MAGIC,
@@ -122,7 +125,7 @@ class TestBackward:
 
 def _op_case(name):
     """Build (param store, tape builder) exercising a single op."""
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     seg = np.array([0, 0, 1, 2, 2, 2])
     idx = np.array([0, 2, 2, 1])
 
@@ -318,6 +321,15 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(ParamStore({"w": np.ones((1, 1))}), path)
         assert path.read_bytes()[:5] == CHECKPOINT_MAGIC == b"MMEN1"
+
+    @pytest.mark.parametrize("case", HOSTILE_CASES)
+    def test_hostile_checkpoint_rejected(self, tmp_path, case):
+        ps = ParamStore({"w": np.ones((2, 2))})
+        path = tmp_path / "h.ckpt"
+        save_checkpoint(ps, path)
+        path.write_bytes(hostile_checkpoint(case, path.read_bytes(), ps))
+        with pytest.raises(DataError, match="h.ckpt"):
+            load_checkpoint(path)
 
 
 class TestDiagnostics:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import HOSTILE_CASES, hostile_checkpoint
 
 from keynodes.autodiff import load_checkpoint, save_checkpoint
 from keynodes.cli import main
@@ -131,6 +132,27 @@ class TestTrain:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("train", "epochs = abc"),
+            ("train", "seed = -3"),
+            ("train", "ablate = bogus"),
+            ("train", "undirected = maybe"),
+            ("compare", "ablate = no-user, bogus"),
+        ],
+    )
+    def test_bad_config_value_exit_2(self, dataset, tmp_path, capsys, command, line):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"# line 1\n{line}\n")
+        argv = [command, "--data", str(dataset), "--config", str(cfgfile)]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "o"), "--epochs", "1"]
+        else:
+            argv += ["--out", str(tmp_path / "r.csv"), "--methods", "degree", "--runs", "2"]
+        assert main(argv) == 2
+        assert f"{cfgfile}:2" in capsys.readouterr().err
+
 
 class TestScore:
     def test_scores_csv_contract(self, dataset, trained, tmp_path):
@@ -186,6 +208,19 @@ class TestScore:
         )
         assert rc == 2
         assert "user.proj.W" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", HOSTILE_CASES)
+    def test_hostile_checkpoint_exit_2(self, dataset, trained, tmp_path, case):
+        good = trained / "best.ckpt"
+        bad = tmp_path / "hostile.ckpt"
+        bad.write_bytes(hostile_checkpoint(case, good.read_bytes(), load_checkpoint(good)))
+        rc = main(
+            [
+                "score", "--checkpoint", str(bad),
+                "--cascade", str(dataset / "g000"), "--out", str(tmp_path / "s.csv"),
+            ]
+        )
+        assert rc == 2
 
     def test_nan_checkpoint_exit_3(self, dataset, trained, tmp_path):
         params = load_checkpoint(trained / "best.ckpt")

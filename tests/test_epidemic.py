@@ -167,13 +167,6 @@ class TestCompareMethods:
         assert "mmen" in table and "random" in table
         assert set(report.method_means()) == {"mmen", "random"}
 
-    def test_parallel_jobs_identical(self):
-        graphs = [synth_cascade(60, 0.1, 0.2, 50 + s) for s in range(4)]
-        cfg = SirConfig(mu=0.25, runs=10, rng_seed=3)
-        seq = compare_methods(graphs, ["degree", "random"], cfg, 0.1, jobs=1)
-        par = compare_methods(graphs, ["degree", "random"], cfg, 0.1, jobs=4)
-        assert seq.to_csv() == par.to_csv()
-
     def test_fraction_validated(self):
         with pytest.raises(DataError):
             compare_methods([path_graph(5)], ["degree"], SirConfig(mu=0.1), 0.0)

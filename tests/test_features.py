@@ -11,7 +11,6 @@ from keynodes.features import (
     normalize_features,
     random_walk_features,
     raw_walk_statistics,
-    user_attribute_vector,
     user_feature_matrix,
 )
 from keynodes.graphs import CascadeGraph, UserRecord, synth_cascade
@@ -20,13 +19,13 @@ from keynodes.graphs import CascadeGraph, UserRecord, synth_cascade
 class TestUserView:
     def test_fully_absent_record_is_zero(self):
         g = CascadeGraph(3, [(0, 1), (0, 2)], users=[UserRecord()] * 3, source=0)
-        assert np.array_equal(user_attribute_vector(g, 0), np.zeros(USER_DIM))
+        assert np.array_equal(user_feature_matrix(g).values[0], np.zeros(USER_DIM))
 
     def test_direct_read_off(self):
         users = [UserRecord()] * 2 + [UserRecord(name="ab", verified=True)]
         g = CascadeGraph(3, [(0, 1), (1, 2)], users=users, source=0)
         expect = np.array([2, 0, 0, 0, 0, 1, 0, 0, 2], dtype=float)
-        assert np.array_equal(user_attribute_vector(g, 2), expect)
+        assert np.array_equal(user_feature_matrix(g).values[2], expect)
 
     def test_path_length_matches_bfs_oracle(self):
         import networkx as nx
@@ -35,25 +34,19 @@ class TestUserView:
         nxg = nx.DiGraph(list(map(tuple, g.edges)))
         nxg.add_nodes_from(range(g.n))
         lengths = nx.single_source_shortest_path_length(nxg, g.source)
+        values = user_feature_matrix(g).values
         for v in range(g.n):
-            assert user_attribute_vector(g, v)[8] == lengths.get(v, 0)
-
-    def test_matrix_matches_per_node_vectors(self):
-        g = synth_cascade(40, 0.1, 0.5, 2)
-        m = user_feature_matrix(g)
-        assert m.view_tag == "user"
-        assert m.values.shape == (g.n, USER_DIM)
-        for v in (0, 7, g.n - 1):
-            assert np.array_equal(m.values[v], user_attribute_vector(g, v))
+            assert values[v, 8] == lengths.get(v, 0)
 
     def test_out_of_range_node(self):
         g = path_graph(3)
-        with pytest.raises(DataError):
-            user_attribute_vector(g, 3)
+        m = user_feature_matrix(g)
+        assert m.view_tag == "user"
+        assert m.values.shape == (g.n, USER_DIM)  # no row past node n-1
 
     def test_graph_without_user_table(self):
         g = path_graph(4)  # no users at all
-        vec = user_attribute_vector(g, 3)
+        vec = user_feature_matrix(g).values[3]
         assert np.array_equal(vec, np.array([0, 0, 0, 0, 0, 0, 0, 0, 3], dtype=float))
 
 

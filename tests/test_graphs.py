@@ -5,6 +5,7 @@ from conftest import edge_sets, path_graph, random_dag, random_digraph
 from keynodes.errors import DataError
 from keynodes.graphs import (
     CascadeGraph,
+    UserRecord,
     bfs_distances,
     largest_component_size,
     load_cascade,
@@ -87,6 +88,27 @@ class TestLoad:
         assert u.verified is True
         assert u.geo_enabled is False
         assert u.retweet_delay_s == 5.0
+
+    def test_delay_of_duplicate_edge_is_first(self, tmp_path):
+        d = write_cascade(tmp_path, ["0\t1\t5.0\n", "0\t1\t2.0\n"])
+        assert load_cascade(d).users[1].retweet_delay_s == 5.0
+
+    def test_delay_is_minimum_over_parents(self, tmp_path):
+        d = write_cascade(tmp_path, ["0\t1\t5.0\n", "0\t2\t3.0\n", "2\t1\t4.0\n"])
+        users = load_cascade(d).users
+        assert users[1].retweet_delay_s == 4.0
+        assert users[2].retweet_delay_s == 3.0
+
+    def test_self_loop_delay_ignored(self, tmp_path):
+        d = write_cascade(tmp_path, ["0\t1\t5.0\n", "1\t1\t0.5\n"])
+        assert load_cascade(d).users[1].retweet_delay_s == 5.0
+
+    def test_source_has_no_delay(self, tmp_path):
+        d = write_cascade(tmp_path, ["0\t1\t5.0\n", "1\t2\t6.0\n"])
+        g = load_cascade(d)
+        assert g.source == 0
+        assert g.users[0].retweet_delay_s is None
+        assert g.users[0] == UserRecord()
 
     def test_round_trip_thousand_edges(self, tmp_path):
         g = synth_cascade(900, extra_edge_frac=0.12, attr_noise=0.5, rng_seed=3)
@@ -255,3 +277,18 @@ class TestConstruction:
         g = path_graph(4)
         u = g.undirected()
         assert edge_sets(u) == {(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)}
+
+    def test_adjacency_matches_loop_reference(self):
+        rng = np.random.default_rng(8)
+        g = random_digraph(rng, 30, 0.1)
+        out = [set() for _ in range(g.n)]
+        inn = [set() for _ in range(g.n)]
+        for a, b in g.edges:
+            out[a].add(int(b))
+            inn[b].add(int(a))
+        und = [o | i for o, i in zip(out, inn)]
+        for adj, ref in ((g.out_adj, out), (g.in_adj, inn), (g.und_adj, und)):
+            assert len(adj) == g.n
+            for arr, want in zip(adj, ref):
+                assert arr.dtype == np.int64
+                assert arr.tolist() == sorted(want)
