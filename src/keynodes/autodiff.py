@@ -449,10 +449,9 @@ def grad_check(
 def save_checkpoint(params, path) -> None:
     """Named-tensor binary: magic, then per tensor
     (u64 name length, name, u64 rank, u64 dims..., f64 payload), little-endian."""
-    items = params.items() if isinstance(params, ParamStore) else params.items()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        for name, val in items:
+        for name, val in params.items():
             arr = np.asarray(val, dtype="<f8")
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<Q", len(encoded)))

@@ -346,8 +346,9 @@ def cmd_score(args) -> int:
     params, model_cfg, walk_cfg, undirected, ablate = _unpack_meta(raw)
     validate_params(params, model_cfg, ablate)
     g = load_cascade(args.cascade)
+    user, struct = featurize_graph(g, walk_cfg, args.seed, 0, undirected=undirected)
     scores, s_user, s_struct, weights = score_graph(
-        g, params, model_cfg, walk_cfg, args.seed, 0, ablate=ablate, undirected=undirected
+        g, params, model_cfg, user.values, struct.values, ablate=ablate, undirected=undirected
     )
     seeds = set(select_seeds(scores, args.fraction).members)
     w_user, w_stru = (0.0, 1.0) if weights is None else (float(weights[0]), float(weights[1]))
@@ -360,7 +361,6 @@ def cmd_score(args) -> int:
                 f"{w_user!r},{w_stru!r},{int(v in seeds)}\n"
             )
     if args.dump_features:
-        user, struct = featurize_graph(g, walk_cfg, args.seed, 0, undirected=undirected)
         dump_features_csv(user, struct, args.dump_features)
     print(f"scored {g.n} nodes; {len(seeds)} flagged as seeds")
     return 0
@@ -378,32 +378,26 @@ def cmd_compare(args) -> int:
         ablations.extend(ABLATIONS if a == "all" else [a])
     ablations = list(dict.fromkeys(ablations))
 
-    scorers = {}
+    scores = {}
     if args.checkpoint or "mmen" in methods or ablations:
         if not args.checkpoint:
             raise DataError("the mmen method needs --checkpoint")
         raw = load_checkpoint(args.checkpoint)
         params, model_cfg, walk_cfg, undirected, base_ablate = _unpack_meta(raw)
         validate_params(params, model_cfg, base_ablate)
-
-        def make_scorer(extra):
-            extra = frozenset(extra) | base_ablate
-
-            def scorer(g, gi):
-                return score_graph(
-                    g, params, model_cfg, walk_cfg, args.seed, gi,
-                    ablate=extra, undirected=undirected,
-                )[0]
-
-            return scorer
-
-        scorers["mmen"] = make_scorer(frozenset())
+        variants = {"mmen": base_ablate}
+        variants.update({f"mmen-{a}": base_ablate | {a} for a in ablations})
+        scores = {name: [] for name in variants}
+        for gi, g in enumerate(graphs):
+            user, struct = featurize_graph(g, walk_cfg, args.seed, gi, undirected=undirected)
+            views = (user.values, struct.values)
+            for name, ablate in variants.items():
+                out = score_graph(g, params, model_cfg, *views, ablate, undirected)
+                scores[name].append(out[0])
         if "mmen" not in methods:
             methods.insert(0, "mmen")
-        for a in ablations:
-            name = f"mmen-{a}"
-            scorers[name] = make_scorer(frozenset([a]))
-            methods.insert(methods.index("mmen") + 1 + ablations.index(a), name)
+        at = methods.index("mmen")
+        methods[at : at + 1] = list(variants)
 
     cfg = SirConfig(mu=args.mu, runs=args.runs, rng_seed=args.seed)
     report = compare_methods(
@@ -412,7 +406,7 @@ def cmd_compare(args) -> int:
         cfg,
         args.fraction,
         d_cover=args.d_cover,
-        scorers=scorers,
+        scores=scores,
         names=names,
     )
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -65,9 +65,7 @@ def sir_run(g: CascadeGraph, seeds, mu: float, rng: np.random.Generator) -> int:
     infected = seeds
     total = seeds.size
     while infected.size:
-        contacts = (
-            np.concatenate([und[v] for v in infected]) if infected.size else infected
-        )
+        contacts = np.concatenate([und[v] for v in infected])
         contacts = contacts[susceptible[contacts]]
         if contacts.size == 0 or mu == 0.0:
             break
@@ -163,9 +161,9 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _select_for_method(method, g, gi, k, fraction, d_cover, cfg, scorers):
-    if scorers and method in scorers:
-        return select_seeds(scorers[method](g, gi), fraction).members
+def _select_for_method(method, g, gi, k, fraction, d_cover, cfg, scores):
+    if method in scores:
+        return select_seeds(scores[method][gi], fraction).members
     if method == "degree":
         return tuple(int(v) for v in baselines.degree_centrality(g).top(k))
     if method == "kshell":
@@ -188,24 +186,30 @@ def compare_methods(
     cfg: SirConfig,
     seed_fraction: float,
     d_cover: int = 1,
-    scorers: dict | None = None,
+    scores: dict | None = None,
     names: list[str] | None = None,
 ) -> EvalReport:
     """Evaluate every method on every graph: S_t (Monte-Carlo) and R.
 
     Rows come graph by graph, methods in the given order; graph ``gi`` is
     labelled ``names[gi]`` (default ``graph<gi>``) and draws its SIR runs
-    from the ``(cfg.rng_seed, gi)`` stream.  `scorers` supplies score
-    callables ``(graph, graph_index) -> array`` for model-based methods;
-    built-in names are degree, kshell, hindex, leaderrank, greedy, and random.
+    from the ``(cfg.rng_seed, gi)`` stream.  `scores` maps a model-based
+    method to one per-node score array per graph, in graph order (DataError
+    on a missing or wrong-size array).  Built-in names are degree, kshell,
+    hindex, leaderrank, greedy, and random.
     """
     methods = list(methods)
-    valid = set(BUILTIN_METHODS) | set(scorers or {})
+    scores = scores or {}
+    valid = set(BUILTIN_METHODS) | set(scores)
     unknown = [m for m in methods if m not in valid]
     if unknown:
         raise DataError(f"unknown method(s) {unknown}; valid: {sorted(valid)}")
     if not (0 < seed_fraction <= 1):
         raise DataError(f"fraction must be in (0, 1], got {seed_fraction}")
+    for method, per_graph in scores.items():
+        got, want = [np.size(a) for a in per_graph], [g.n for g in graphs]
+        if got != want:
+            raise DataError(f"method {method!r}: score array sizes {got}, graph sizes {want}")
     names = names if names is not None else [f"graph{gi}" for gi in range(len(graphs))]
 
     rows = []
@@ -214,7 +218,7 @@ def compare_methods(
         k = math.ceil(seed_fraction * g.n)
         rcfg = SirConfig(mu=mu, runs=cfg.runs, rng_seed=derived_seed(cfg.rng_seed, gi))
         for method in methods:
-            seeds = _select_for_method(method, g, gi, k, seed_fraction, d_cover, cfg, scorers)
+            seeds = _select_for_method(method, g, gi, k, seed_fraction, d_cover, cfg, scores)
             st, se = infection_rate(g, seeds, rcfg)
             rows.append(
                 EvalRow(names[gi], method, st, se, robustness(g, seeds), mu, cfg.runs, seed_fraction)

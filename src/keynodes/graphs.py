@@ -80,26 +80,14 @@ class CascadeGraph:
     def __init__(self, n, edges, delays=None, users=None, labels=None, source=None):
         if n < 1:
             raise DataError("graph needs at least one node")
-        edges = [(int(a), int(b)) for a, b in edges]
-        if delays is None:
-            delays = [0.0] * len(edges)
-        if len(delays) != len(edges):
-            raise DataError("delays must align with edges")
-        seen: set[tuple[int, int]] = set()
-        kept, kept_delays = [], []
-        for (a, b), d in zip(edges, delays):
-            if not (0 <= a < n and 0 <= b < n):
-                raise DataError(f"edge ({a},{b}) endpoint out of range for n={n}")
-            if a == b or (a, b) in seen:
-                continue
-            seen.add((a, b))
-            kept.append((a, b))
-            kept_delays.append(float(d))
         self.n = int(n)
-        self.edges = np.array(kept, dtype=np.int64).reshape(len(kept), 2)
-        self.delays = np.array(kept_delays, dtype=np.float64)
+        self.edges, self.delays = _dedupe_edges(self.n, edges, delays)
         if users is not None and len(users) != n:
             raise DataError("users must have one entry per node")
+        if labels is not None and len(labels) != n:
+            raise DataError(f"labels must have one entry per node, got {len(labels)} for n={n}")
+        if source is not None and not (0 <= int(source) < n):
+            raise DataError(f"source {source} out of range for n={n}")
         self.users = tuple(users) if users is not None else None
         self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
         self._out = None
@@ -146,8 +134,8 @@ class CascadeGraph:
     def undirected(self) -> "CascadeGraph":
         """Symmetrized view: every edge present in both directions."""
         if self._und_graph is None:
-            both = list(map(tuple, self.edges)) + [(int(b), int(a)) for a, b in self.edges]
-            delays = list(self.delays) + list(self.delays)
+            both = np.concatenate([self.edges, self.edges[:, ::-1]])
+            delays = np.concatenate([self.delays, self.delays])
             self._und_graph = CascadeGraph(
                 self.n, both, delays, users=self.users, labels=self.labels, source=self.source
             )
@@ -159,6 +147,23 @@ class CascadeGraph:
             if indeg[v] == 0 and len(_bfs(self.out_adj, v)) == self.n:
                 return v
         return 0
+
+
+def _dedupe_edges(n, edges, delays):
+    """Range-checked (E, 2) edge and (E,) delay arrays without self-loops,
+    keeping the first occurrence of each (src, dst) in input order."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
+    delays = np.zeros(len(edges)) if delays is None else np.asarray(delays, dtype=np.float64)
+    if delays.shape != (len(edges),):
+        raise DataError("delays must align with edges")
+    bad = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1))
+    if bad.size:
+        a, b = edges[bad[0]]
+        raise DataError(f"edge ({a},{b}) endpoint out of range for n={n}")
+    idx = np.flatnonzero(edges[:, 0] != edges[:, 1])
+    _, first = np.unique(edges[idx, 0] * n + edges[idx, 1], return_index=True)
+    idx = idx[np.sort(first)]
+    return edges[idx], delays[idx]
 
 
 def _sorted_lists(keys, vals, n):
@@ -305,10 +310,10 @@ def load_cascade(dir_path) -> CascadeGraph:
     if upath.is_file():
         profiles = _parse_users(upath, ids)
 
-    g = CascadeGraph(n, raw_edges, raw_delays, labels=labels)
+    edges, delays = _dedupe_edges(n, raw_edges, raw_delays)
     # a node's retweet delay is its earliest kept in-edge; the source has none
     first = np.full(n, np.inf)
-    np.minimum.at(first, g.edges[:, 1], g.delays)
+    np.minimum.at(first, edges[:, 1], delays)
     users = [
         replace(
             profiles.get(v, UserRecord()),
@@ -316,9 +321,7 @@ def load_cascade(dir_path) -> CascadeGraph:
         )
         for v in range(n)
     ]
-    return CascadeGraph(
-        n, raw_edges, raw_delays, users=users, labels=labels, source=g.source
-    )
+    return CascadeGraph(n, edges, delays, users=users, labels=labels)
 
 
 def _parse_users(upath: Path, ids: dict[str, int]) -> dict[int, UserRecord]:

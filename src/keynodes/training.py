@@ -264,21 +264,20 @@ def score_graph(
     g: CascadeGraph,
     params: ParamStore,
     model_cfg: ModelConfig,
-    walk_cfg: WalkConfig,
-    master_seed: int,
-    graph_index: int = 0,
+    user: np.ndarray,
+    struct: np.ndarray,
     ablate=frozenset(),
     undirected: bool = False,
 ):
-    """Forward-only scores for one graph.
+    """Forward-only scores for one graph from the ``.values`` of its two
+    ``featurize_graph`` views, so several ablations can share one featurization.
 
     Returns (scores, s_user, s_struct, weights) as plain arrays; s_user and
     weights are None when the user view is ablated.
     """
-    user, struct = featurize_graph(g, walk_cfg, master_seed, graph_index, undirected=undirected)
     tape = Tape()
     fwd = mmen_forward(
-        tape, g, user.values, struct.values, params, model_cfg, ablate=ablate, undirected=undirected
+        tape, g, user, struct, params, model_cfg, ablate=ablate, undirected=undirected
     )
     scores = tape.value(fwd.score).ravel().copy()
     if not np.isfinite(scores).all():

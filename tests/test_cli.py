@@ -6,13 +6,28 @@ import numpy as np
 import pytest
 from conftest import HOSTILE_CASES, hostile_checkpoint
 
+from keynodes import cli, training
 from keynodes.autodiff import load_checkpoint, save_checkpoint
 from keynodes.cli import main
 from keynodes.epidemic import REPORT_HEADER
+from keynodes.features import featurize_graph
 
 
 def tree_bytes(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def count_featurize(monkeypatch) -> list:
+    """Record the graph index of every featurize_graph call the CLI makes."""
+    calls = []
+
+    def counting(g, walk_cfg, master_seed, graph_index, **kwargs):
+        calls.append(graph_index)
+        return featurize_graph(g, walk_cfg, master_seed, graph_index, **kwargs)
+
+    for mod in (cli, training):
+        monkeypatch.setattr(mod, "featurize_graph", counting)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +210,18 @@ class TestScore:
         header = (tmp_path / "f.csv").read_text().split("\n")[0]
         assert header == "node,view," + ",".join(f"f{i}" for i in range(9))
 
+    def test_dump_features_featurizes_once(self, dataset, trained, tmp_path, monkeypatch):
+        calls = count_featurize(monkeypatch)
+        rc = main(
+            [
+                "score", "--checkpoint", str(trained / "best.ckpt"),
+                "--cascade", str(dataset / "g002"), "--out", str(tmp_path / "s.csv"),
+                "--dump-features", str(tmp_path / "f.csv"),
+            ]
+        )
+        assert rc == 0
+        assert calls == [0]
+
     def test_corrupt_checkpoint_dim_mismatch_exit_2(self, dataset, trained, tmp_path, capsys):
         params = load_checkpoint(trained / "best.ckpt")
         params["user.proj.W"] = np.zeros((3, 3))
@@ -255,6 +282,47 @@ class TestCompare:
         manifest = json.loads((dataset / "manifest.json").read_text())
         n_test = len(manifest["splits"]["test"])
         assert len(lines) - 1 == n_test * 6
+
+    def test_ablate_all_featurizes_each_graph_once(self, dataset, trained, tmp_path, monkeypatch):
+        calls = count_featurize(monkeypatch)
+        rc = main(
+            [
+                "compare", "--data", str(dataset), "--checkpoint", str(trained / "best.ckpt"),
+                "--out", str(tmp_path / "r.csv"), "--methods", "mmen,random",
+                "--ablate", "all", "--runs", "2",
+            ]
+        )
+        assert rc == 0
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        assert calls == list(range(len(manifest["splits"]["test"])))
+
+    def test_variant_rows_follow_mmen(self, dataset, trained, tmp_path):
+        out = tmp_path / "r.csv"
+        rc = main(
+            [
+                "compare", "--data", str(dataset), "--checkpoint", str(trained / "best.ckpt"),
+                "--out", str(out), "--methods", "degree,mmen,random",
+                "--ablate", "no-user", "--runs", "2",
+            ]
+        )
+        assert rc == 0
+        rows = [line.split(",")[:2] for line in out.read_text().strip().split("\n")[1:]]
+        graphs = list(dict.fromkeys(g for g, _ in rows))
+        want = ["degree", "mmen", "mmen-no-user", "random"]
+        assert rows == [[g, m] for g in graphs for m in want]
+
+    def test_variants_lead_when_mmen_not_listed(self, dataset, trained, tmp_path):
+        out = tmp_path / "r.csv"
+        rc = main(
+            [
+                "compare", "--data", str(dataset), "--checkpoint", str(trained / "best.ckpt"),
+                "--out", str(out), "--methods", "degree,random",
+                "--ablate", "no-fusion", "--runs", "2",
+            ]
+        )
+        assert rc == 0
+        methods = [line.split(",")[1] for line in out.read_text().strip().split("\n")[1:]]
+        assert methods[:4] == ["mmen", "mmen-no-fusion", "degree", "random"]
 
     def test_mmen_without_checkpoint_exit_2(self, dataset, tmp_path):
         rc = main(

@@ -159,13 +159,26 @@ class TestCompareMethods:
 
     def test_custom_scorer_and_table(self):
         graphs = [synth_cascade(50, 0.1, 0.0, s) for s in range(2)]
-        scorers = {"mmen": lambda g, gi: g.out_degrees().astype(float)}
+        scores = {"mmen": [g.out_degrees().astype(float) for g in graphs]}
         report = compare_methods(
-            graphs, ["mmen", "random"], SirConfig(mu=0.3, runs=10, rng_seed=2), 0.1, scorers=scorers
+            graphs, ["mmen", "random"], SirConfig(mu=0.3, runs=10, rng_seed=2), 0.1, scores=scores
         )
         table = report.to_table()
         assert "mmen" in table and "random" in table
         assert set(report.method_means()) == {"mmen", "random"}
+
+    def test_short_score_list_rejected(self):
+        graphs = [synth_cascade(50, 0.1, 0.0, s) for s in range(2)]
+        scores = {"mmen": [graphs[0].out_degrees().astype(float)]}
+        with pytest.raises(DataError, match=r"sizes \[50\], graph sizes \[50, 50\]"):
+            compare_methods(graphs, ["mmen"], SirConfig(mu=0.3, runs=2), 0.1, scores=scores)
+
+    def test_wrong_size_score_array_rejected(self):
+        graphs = [synth_cascade(50, 0.1, 0.0, s) for s in range(2)]
+        scores = {"mmen": [g.out_degrees().astype(float) for g in graphs]}
+        scores["mmen"][1] = scores["mmen"][1][:-1]
+        with pytest.raises(DataError, match=r"sizes \[50, 49\], graph sizes \[50, 50\]"):
+            compare_methods(graphs, ["mmen"], SirConfig(mu=0.3, runs=2), 0.1, scores=scores)
 
     def test_fraction_validated(self):
         with pytest.raises(DataError):

@@ -273,6 +273,45 @@ class TestConstruction:
         with pytest.raises(DataError):
             CascadeGraph(2, [(0, 5)])
 
+    def test_negative_source_rejected(self):
+        with pytest.raises(DataError, match="source -1 out of range"):
+            CascadeGraph(3, [(0, 1), (1, 2)], source=-1)
+
+    def test_source_past_last_node_rejected(self):
+        with pytest.raises(DataError, match="source 7 out of range"):
+            CascadeGraph(3, [(0, 1), (1, 2)], source=7)
+
+    def test_label_count_checked(self):
+        with pytest.raises(DataError, match="labels"):
+            CascadeGraph(3, [(0, 1), (1, 2)], labels=["a"])
+
+    def test_first_bad_edge_named(self):
+        with pytest.raises(DataError, match=r"edge \(3,0\)"):
+            CascadeGraph(3, [(0, 1), (3, 0), (0, -1)])
+
+    def test_dedupe_matches_loop_reference(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(1, 8))
+            m = int(rng.integers(0, 30))
+            edges = rng.integers(0, n, size=(m, 2)).tolist()
+            delays = rng.random(m).tolist()
+            seen, want, want_delays = set(), [], []
+            for (a, b), d in zip(edges, delays):
+                if a != b and (a, b) not in seen:
+                    seen.add((a, b))
+                    want.append([a, b])
+                    want_delays.append(d)
+            g = CascadeGraph(n, edges, delays)
+            assert g.edges.tolist() == want
+            assert g.delays.tolist() == want_delays
+            und = g.undirected()
+            und_want = list(want)
+            for a, b in want:
+                if [b, a] not in und_want:
+                    und_want.append([b, a])
+            assert und.edges.tolist() == und_want
+
     def test_undirected_view_symmetric(self):
         g = path_graph(4)
         u = g.undirected()
