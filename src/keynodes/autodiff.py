@@ -169,10 +169,19 @@ def _fwd_layer_norm(vals, attrs):
     return (x - mean) / np.sqrt(var + eps)
 
 
+def _row_groups(x, attrs):
+    """View x as (rows, group, cols // group): row_softmax normalizes each
+    row's `group` equal runs of columns separately (default 1: the whole row)."""
+    group = int(attrs.get("group", 1))
+    if group < 1 or x.shape[1] % group:
+        raise ShapeError(f"row_softmax: {x.shape[1]} columns do not split into {group} groups")
+    return x.reshape(x.shape[0], group, -1)
+
+
 def _fwd_row_softmax(vals, attrs):
-    (x,) = vals
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    x = _row_groups(vals[0], attrs)
+    e = np.exp(x - x.max(axis=2, keepdims=True))
+    return (e / e.sum(axis=2, keepdims=True)).reshape(vals[0].shape)
 
 
 def _fwd_segment_softmax(vals, attrs):
@@ -273,8 +282,8 @@ def _bwd_layer_norm(node, ins):
 
 
 def _bwd_row_softmax(node, ins):
-    y, g = node.value, node.grad
-    return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
+    y, g = _row_groups(node.value, node.attrs), _row_groups(node.grad, node.attrs)
+    return ((y * (g - (g * y).sum(axis=2, keepdims=True))).reshape(node.value.shape),)
 
 
 def _bwd_segment_softmax(node, ins):

@@ -148,30 +148,29 @@ def gat_layer(tape, h, src, dst, n_nodes, head_ids, slope=0.2):
     head_ids is a list of (W, a_src, a_dst) tape leaf ids.  Per head the
     edge logit is leaky_relu(a_dst . W h_dst + a_src . W h_src), softmaxed
     over each destination's incoming messages; head outputs are concatenated
-    and passed through elu.
+    and passed through elu.  The heads run together: one (L, H*F) projection,
+    and a 0/1 (H*F, H) matrix marking each head's F columns that turns the
+    stacked a vectors block-diagonal and spreads (E, H) attention over (E, H*F).
     """
-    outs = []
-    for W, a_src, a_dst in head_ids:
-        hw = tape.record("matmul", [h, W])
-        s_center = tape.record("matmul", [hw, a_dst])
-        s_nbr = tape.record("matmul", [hw, a_src])
-        logits = tape.record(
-            "add",
-            [
-                tape.record("gather_rows", [s_center], indices=dst),
-                tape.record("gather_rows", [s_nbr], indices=src),
-            ],
-        )
-        att = tape.record(
-            "segment_softmax",
-            [tape.record("leaky_relu", [logits], alpha=slope)],
-            segments=dst,
-            num_segments=n_nodes,
-        )
-        msgs = tape.record("mul", [att, tape.record("gather_rows", [hw], indices=src)])
-        outs.append(tape.record("segment_sum", [msgs], segments=dst, num_segments=n_nodes))
-    cat = outs[0] if len(outs) == 1 else tape.record("concat", outs, axis=1)
-    return tape.record("elu", [cat])
+    Ws, a_srcs, a_dsts = zip(*head_ids)
+    blocks = np.kron(np.eye(len(head_ids)), np.ones((tape.value(Ws[0]).shape[1], 1)))
+    mask = tape.leaf(blocks)
+    hw = tape.record("matmul", [h, tape.record("concat", Ws, axis=1)])
+
+    def head_scores(vecs, idx):  # (E, H): a_k . W_k h at each edge's idx end
+        block_diag = tape.record("mul", [tape.record("concat", vecs, axis=0), mask])
+        return tape.record("gather_rows", [tape.record("matmul", [hw, block_diag])], indices=idx)
+
+    logits = tape.record("add", [head_scores(a_dsts, dst), head_scores(a_srcs, src)])
+    att = tape.record(
+        "segment_softmax",
+        [tape.record("leaky_relu", [logits], alpha=slope)],
+        segments=dst,
+        num_segments=n_nodes,
+    )
+    spread = tape.record("matmul", [att, tape.leaf(blocks.T)])
+    msgs = tape.record("mul", [spread, tape.record("gather_rows", [hw], indices=src)])
+    return tape.record("elu", [tape.record("segment_sum", [msgs], segments=dst, num_segments=n_nodes)])
 
 
 def memory_read(tape, h, group_ids, conv_w, conv_b):
@@ -179,18 +178,17 @@ def memory_read(tape, h, group_ids, conv_w, conv_b):
 
     Per group: similarity softmax of node features against the slot matrix,
     then the probability-weighted sum of slots; group outputs are combined
-    as conv_b + sum_i conv_w[i] * read_i.
+    as conv_b + sum_i conv_w[i] * read_i.  The groups, each (b, L), run
+    together: one (N, G*b) similarity, a softmax per group, and one read
+    against the slots pre-scaled by their group's conv_w.
     """
-    out = None
-    for i, m in enumerate(group_ids):
-        # (N, L) @ (L, b) similarity -> per-node softmax over slots -> (N, L)
-        logits = tape.record("matmul", [h, tape.record("transpose", [m])])
-        probs = tape.record("row_softmax", [logits])
-        read = tape.record("matmul", [probs, m])
-        c_i = tape.record("gather_rows", [conv_w], indices=np.array([i]))
-        scaled = tape.record("mul", [read, c_i])
-        out = scaled if out is None else tape.record("add", [out, scaled])
-    return tape.record("add", [out, conv_b])
+    slots = tape.record("concat", group_ids, axis=0)
+    logits = tape.record("matmul", [h, tape.record("transpose", [slots])])
+    probs = tape.record("row_softmax", [logits], group=len(group_ids))
+    slot_group = np.repeat(np.arange(len(group_ids)), tape.value(group_ids[0]).shape[0])
+    scale = tape.record("gather_rows", [conv_w], indices=slot_group)
+    read = tape.record("matmul", [probs, tape.record("mul", [slots, scale])])
+    return tape.record("add", [read, conv_b])
 
 
 def memory_enhance(tape, h, f_m):
@@ -229,8 +227,6 @@ class ForwardResult:
     score_user: int | None
     score_struct: int
     weights: int | None  # (1, 2) fusion weights; None when the user view is off
-    hidden_user: int | None
-    hidden_struct: int
 
 
 def mmen_forward(
@@ -290,11 +286,11 @@ def mmen_forward(
 
     h_s, s2 = view_forward("struct", struct_feats)
     if not use_user:
-        return ForwardResult(s2, None, s2, None, None, h_s)
+        return ForwardResult(s2, None, s2, None)
     h_u, s1 = view_forward("user", user_feats)
     if "no-fusion" in ablate:
         w = tape.leaf(np.array([[0.5, 0.5]]))
     else:
         w = fusion_weights(tape, h_u, h_s, binding["fusion.W"], binding["fusion.b"])
     s = fuse_scores(tape, s1, s2, w)
-    return ForwardResult(s, s1, s2, w, h_u, h_s)
+    return ForwardResult(s, s1, s2, w)

@@ -236,6 +236,9 @@ def train(
                 else:
                     for name in grads_sum:
                         grads_sum[name] += grads[name]
+            bad = next((name for name, g in grads_sum.items() if not np.isfinite(g).all()), None)
+            if bad is not None:
+                raise NumericError(f"non-finite gradient of parameter {bad!r} in epoch {epoch}")
             adam_step(params, grads_sum, adam, cfg.lr)
         train_loss = epoch_loss / len(train_b)
 

@@ -37,6 +37,21 @@ class TestForward:
         y = tape.value(tape.record("row_softmax", [x]))
         assert np.abs(y.sum(axis=1) - 1.0).max() < 1e-12
 
+    def test_grouped_row_softmax_normalizes_each_group(self):
+        tape = Tape()
+        x = np.random.default_rng(2).normal(size=(3, 6))
+        y = tape.value(tape.record("row_softmax", [tape.leaf(x)], group=3))
+        for k in range(3):
+            cols = slice(2 * k, 2 * k + 2)
+            ref = tape.value(tape.record("row_softmax", [tape.leaf(x[:, cols])]))
+            assert np.array_equal(y[:, cols], ref)
+
+    def test_row_softmax_group_must_divide_columns(self):
+        tape = Tape()
+        x = tape.leaf(np.ones((2, 6)))
+        with pytest.raises(ShapeError, match="row_softmax.*6 columns.*4 groups"):
+            tape.record("row_softmax", [x], group=4)
+
     def test_segment_softmax_per_segment(self):
         tape = Tape()
         x = tape.leaf(np.array([[1.0], [2.0], [3.0]]))
@@ -153,6 +168,8 @@ def _op_case(name):
             return tape.record("log", [tape.record("sigmoid", [x])])
         if name == "row_softmax":
             return tape.record("row_softmax", [x])
+        if name == "row_softmax_grouped":
+            return tape.record("row_softmax", [x], group=2)
         if name == "segment_softmax":
             return tape.record("segment_softmax", [x], segments=seg, num_segments=3)
         if name == "segment_sum":
@@ -173,7 +190,7 @@ def _op_case(name):
             return tape.record("transpose", [x])
         raise AssertionError(name)
 
-    params = ParamStore({"x": rng.normal(size=(6, 3))})
+    params = ParamStore({"x": rng.normal(size=(6, 4 if name == "row_softmax_grouped" else 3))})
     if name == "matmul":
         params["y"] = rng.normal(size=(3, 4))
     if name == "concat":
@@ -210,7 +227,7 @@ class TestEveryOpAgainstFiniteDifferences:
 
         assert set(ALL_OPS) == set(_FORWARD)
 
-    @pytest.mark.parametrize("op", ALL_OPS)
+    @pytest.mark.parametrize("op", ALL_OPS + ["row_softmax_grouped"])
     def test_op(self, op):
         params, f = _op_case(op)
         assert grad_check(f, params, eps=1e-6) < 1e-5

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -6,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import HOSTILE_CASES, hostile_checkpoint
 
+import keynodes
 from keynodes import cli, training
 from keynodes.autodiff import load_checkpoint, save_checkpoint
 from keynodes.cli import main
@@ -370,3 +374,24 @@ class TestExitCodes:
         text = capsys.readouterr().out
         for fragment in ("5e-4", "default 2", "default 50"):
             assert fragment in text
+
+
+class TestBlasThreads:
+    """Importing keynodes caps OpenBLAS at one thread unless the user set a value."""
+
+    def blas_threads(self, preset):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(keynodes.__file__).resolve().parents[1])
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = "import keynodes, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        return done.stdout.strip()
+
+    def test_unset_becomes_one(self):
+        assert self.blas_threads(None) == "1"
+
+    def test_user_value_kept(self):
+        assert self.blas_threads("2") == "2"

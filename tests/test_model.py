@@ -20,6 +20,7 @@ from keynodes.model import (
     score_head,
     validate_params,
 )
+from keynodes.training import coverage_loss
 
 SMALL = ModelConfig(hidden=16, heads=4, mem_groups=4, mem_slots=8)
 
@@ -99,6 +100,51 @@ class TestGatLayer:
         ours = run_gat(g, H, heads)
         ref = dense_gat_reference(H, heads, g.edges, g.n)
         assert np.abs(ours - ref).max() < 1e-12
+
+
+class TestFusedOpCounts:
+    """Heads and memory groups run fused: the op count does not grow with them."""
+
+    def test_gat_heads_share_one_set_of_ops(self):
+        rng = np.random.default_rng(13)
+        g = random_digraph(rng, 7, 0.3)
+        H = rng.normal(size=(7, 8))
+        src, dst = attention_indices(g)
+        counts = []
+        for n_heads in (1, 4):
+            tape = Tape()
+            head_ids = [
+                (tape.leaf(W), tape.leaf(a1), tape.leaf(a2))
+                for W, a1, a2 in random_heads(rng, n_heads, 8, 2)
+            ]
+            h = tape.leaf(H)
+            start = len(tape.nodes)
+            gat_layer(tape, h, src, dst, g.n, head_ids)
+            counts.append(len(tape.nodes) - start)
+        assert counts[0] == counts[1]
+
+    def test_memory_groups_share_one_set_of_ops(self):
+        rng = np.random.default_rng(14)
+        counts = []
+        for n_groups in (1, 4):
+            tape = Tape()
+            gids = [tape.leaf(rng.normal(size=(5, 6))) for _ in range(n_groups)]
+            h = tape.leaf(rng.normal(size=(9, 6)))
+            conv_w = tape.leaf(rng.normal(size=(n_groups, 1)))
+            conv_b = tape.leaf(rng.normal(size=(1, 1)))
+            start = len(tape.nodes)
+            memory_read(tape, h, gids, conv_w, conv_b)
+            counts.append(len(tape.nodes) - start)
+        assert counts[0] == counts[1]
+
+    def test_default_forward_and_loss_tape_size(self):
+        g = synth_cascade(350, 0.1, 0.3, 5)
+        cfg = ModelConfig()
+        user, struct = featurize_graph(g, WalkConfig(), 0, 0)
+        tape = Tape()
+        fwd = mmen_forward(tape, g, user.values, struct.values, init_params(cfg, 0), cfg)
+        coverage_loss(tape, fwd.score, g, 1.0, 1)
+        assert len(tape.nodes) <= 250  # 424 with heads and groups unrolled
 
 
 class TestMemory:

@@ -5,7 +5,8 @@ from conftest import path_graph, random_digraph
 from keynodes.autodiff import ParamStore, Tape
 from keynodes.errors import DataError, NumericError
 from keynodes.graphs import out_neighborhood, synth_cascade
-from keynodes.model import ModelConfig, init_params
+from keynodes import training
+from keynodes.model import ModelConfig, collect_grads, init_params
 from keynodes.training import (
     AdamState,
     TrainConfig,
@@ -211,6 +212,22 @@ class TestTrain:
         bad["struct.proj.W"] = np.full_like(bad["struct.proj.W"], np.nan)
         with pytest.raises(NumericError, match="op"):
             train(graphs[:1], graphs[1:], cfg, model_cfg=TINY, init=bad)
+
+    def test_nonfinite_gradient_named_and_not_applied(self, monkeypatch):
+        graphs = tiny_dataset(2, seed=4)
+        cfg = TrainConfig(epochs=2, rng_seed=0)
+
+        def nan_grads(tape, binding):
+            grads = collect_grads(tape, binding)
+            grads["struct.gat1.h2.W"][0, 0] = np.nan
+            return grads
+
+        steps = []
+        monkeypatch.setattr(training, "collect_grads", nan_grads)
+        monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(args))
+        with pytest.raises(NumericError, match=r"'struct\.gat1\.h2\.W'.*epoch 1"):
+            train(graphs[:1], graphs[1:], cfg, model_cfg=TINY)
+        assert steps == []
 
     def test_needs_graphs(self):
         with pytest.raises(DataError):
