@@ -7,6 +7,7 @@ adds a ground node linked both ways to every node.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,28 +44,28 @@ def degree_centrality(g: CascadeGraph) -> RankedScores:
 
 
 def kshell(g: CascadeGraph) -> RankedScores:
-    """Iterative undirected core peeling; score is the shell index."""
-    adj = [set(map(int, nbrs)) for nbrs in g.und_adj]
-    deg = np.array([len(a) for a in adj])
-    shell = np.zeros(g.n, dtype=np.float64)
-    remaining = set(range(g.n))
-    k = 0
-    while remaining:
-        peel = [v for v in remaining if deg[v] <= k]
-        if not peel:
-            k += 1
-            continue
-        while peel:
-            v = peel.pop()
-            shell[v] = k
-            remaining.discard(v)
-            for u in adj[v]:
-                adj[u].discard(v)
-                deg[u] -= 1
-                if u in remaining and deg[u] <= k and u not in peel:
-                    peel.append(u)
-            adj[v] = set()
-    return RankedScores("kshell", shell)
+    """Undirected core number by bucket-queue peeling (Batagelj &
+    Zaversnik 2003), O(N + E); score is the shell index."""
+    adj = [a.tolist() for a in g.und_adj]
+    deg = [len(a) for a in adj]
+    # vert lists the nodes by current degree; start[d] is the index in vert
+    # of the first node of degree d, pos[v] the index of v
+    vert = sorted(range(g.n), key=deg.__getitem__)
+    pos = [0] * g.n
+    for i, v in enumerate(vert):
+        pos[v] = i
+    start = np.searchsorted([deg[v] for v in vert], np.arange(max(deg) + 1)).tolist()
+    for v in vert:  # swaps only touch entries after v
+        for u in adj[v]:
+            du = deg[u]
+            if du > deg[v]:
+                # move u to the front of its bucket, then into the bucket below
+                w = vert[start[du]]
+                vert[pos[u]], vert[start[du]] = w, u
+                pos[u], pos[w] = start[du], pos[u]
+                start[du] += 1
+                deg[u] = du - 1
+    return RankedScores("kshell", np.array(deg, dtype=np.float64))
 
 
 def h_index(g: CascadeGraph) -> RankedScores:
@@ -84,31 +85,31 @@ def h_index(g: CascadeGraph) -> RankedScores:
 def leaderrank(g: CascadeGraph, tol: float = 1e-10, max_iters: int = 100_000) -> RankedScores:
     """Random-walk score with a bidirectionally-linked ground node.
 
-    Power-iterates the walk until the L1 change drops below tol, then
-    spreads the ground node's score equally over the real nodes; the final
-    scores sum to N.
+    Power-iterates the walk over the edge list, O(N + E) per iteration,
+    until the L1 change drops below tol, then spreads the ground node's
+    score equally over the real nodes; the final scores sum to N.
     """
     n = g.n
-    ground = n
-    # column-stochastic transition: P[i, j] = 1/outdeg(i) for edge i -> j
-    P = np.zeros((n + 1, n + 1))
+    if not len(g.edges):
+        # the walk only alternates ground <-> nodes (period 2, so the
+        # iteration never settles); its stationary answer is all ones
+        return RankedScores("leaderrank", np.ones(n))
+    src, dst = g.edges[:, 0], g.edges[:, 1]
     outdeg = g.out_degrees() + 1.0  # +1 for the edge to ground
-    for a, b in g.edges:
-        P[a, b] = 1.0 / outdeg[a]
-    P[:n, ground] = 1.0 / outdeg
-    P[ground, :n] = 1.0 / n
-
     s = np.ones(n + 1)
-    s[ground] = 0.0
+    s[n] = 0.0  # the ground node
     for _ in range(max_iters):
-        s_new = P.T @ s
+        share = s[:n] / outdeg
+        s_new = np.empty(n + 1)
+        s_new[:n] = np.bincount(dst, weights=share[src], minlength=n) + s[n] / n
+        s_new[n] = share.sum()
         if np.abs(s_new - s).sum() < tol:
             s = s_new
             break
         s = s_new
     else:
         raise NumericError(f"leaderrank failed to converge within {max_iters} iterations")
-    return RankedScores("leaderrank", s[:n] + s[ground] / n)
+    return RankedScores("leaderrank", s[:n] + s[n] / n)
 
 
 def greedy_dcover(g: CascadeGraph, budget: int, d: int = 1):
@@ -120,21 +121,24 @@ def greedy_dcover(g: CascadeGraph, budget: int, d: int = 1):
     budget = min(budget, g.n)
     covers = [np.fromiter(sorted(reachable_within(g, u, d)), dtype=np.int64) for u in range(g.n)]
     covered = np.zeros(g.n, dtype=bool)
+    uncovered = g.n
     picked: list[int] = []
     chosen = np.zeros(g.n, dtype=bool)
-    while len(picked) < budget and not covered.all():
-        best_v, best_gain = -1, 0
-        for v in range(g.n):
-            if chosen[v]:
-                continue
-            gain = int(np.count_nonzero(~covered[covers[v]]))
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        if best_v < 0:
-            break
-        picked.append(best_v)
-        chosen[best_v] = True
-        covered[covers[best_v]] = True
+    # lazy greedy (CELF): coverage gains only shrink as nodes are covered, so
+    # a stale gain bounds the true one; heap order (-bound, id) keeps the
+    # smaller-id tie-break
+    heap = [(-c.size, v) for v, c in enumerate(covers)]
+    heapq.heapify(heap)
+    while len(picked) < budget and uncovered:
+        neg_bound, v = heapq.heappop(heap)
+        gain = int(np.count_nonzero(~covered[covers[v]]))
+        if gain < -neg_bound:
+            heapq.heappush(heap, (-gain, v))
+            continue
+        picked.append(v)
+        chosen[v] = True
+        covered[covers[v]] = True
+        uncovered -= gain
     if len(picked) < budget:
         for v in degree_centrality(g).order():
             if not chosen[v]:

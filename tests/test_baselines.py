@@ -1,5 +1,7 @@
 import itertools
+import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
 from conftest import path_graph, random_digraph, star_graph
@@ -13,7 +15,7 @@ from keynodes.baselines import (
     ranked_order,
 )
 from keynodes.errors import DataError
-from keynodes.graphs import CascadeGraph, reachable_within
+from keynodes.graphs import CascadeGraph, reachable_within, synth_cascade
 
 
 def cycle_graph(k):
@@ -85,6 +87,17 @@ class TestKShell:
             for v in range(g.n):
                 assert scores[v] == self.brute_force_shell(g, v), (n, v)
 
+    def test_matches_networkx_core_number(self):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            n = int(rng.integers(5, 81))
+            g = random_digraph(rng, n, float(rng.uniform(0.02, 0.2)))
+            nxg = nx.Graph()
+            nxg.add_nodes_from(range(n))
+            nxg.add_edges_from(map(tuple, g.edges.tolist()))
+            core = nx.core_number(nxg)
+            assert np.array_equal(kshell(g).scores, [core[v] for v in range(n)]), n
+
     def test_invariant_under_edge_permutation(self):
         rng = np.random.default_rng(6)
         g = random_digraph(rng, 25, 0.1)
@@ -108,6 +121,26 @@ class TestHIndex:
             g = random_digraph(rng, 30, 0.1)
             deg = np.array([len(a) for a in g.und_adj])
             assert (h_index(g).scores <= deg).all()
+
+
+def dense_leaderrank(g, tol=1e-10, max_iters=100_000):
+    """Reference: power iteration on the dense (n+1)^2 column-stochastic
+    matrix, ground node last."""
+    n = g.n
+    P = np.zeros((n + 1, n + 1))
+    outdeg = g.out_degrees() + 1.0
+    for a, b in g.edges:
+        P[a, b] = 1.0 / outdeg[a]
+    P[:n, n] = 1.0 / outdeg
+    P[n, :n] = 1.0 / n
+    s = np.ones(n + 1)
+    s[n] = 0.0
+    for _ in range(max_iters):
+        s_new = P.T @ s
+        if np.abs(s_new - s).sum() < tol:
+            return s_new[:n] + s_new[n] / n
+        s = s_new
+    raise AssertionError("reference did not converge")
 
 
 class TestLeaderRank:
@@ -145,12 +178,74 @@ class TestLeaderRank:
             order_oracle = ranked_order(np.round(n * pi[:n] + pi[n], 9))
             assert np.array_equal(order_got, order_oracle), n
 
+    def test_matches_dense_power_iteration(self):
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            n = int(rng.integers(4, 61))
+            g = random_digraph(rng, n, float(rng.uniform(0.02, 0.3)))
+            got, want = leaderrank(g).scores, dense_leaderrank(g)
+            assert np.abs(got - want).max() <= 1e-12 * n, n
+            assert np.array_equal(ranked_order(got), ranked_order(want)), n
+
+    def test_memory_linear_in_graph(self):
+        g = synth_cascade(3000, 0.1, 0.0, 3)
+        tracemalloc.start()
+        try:
+            leaderrank(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak  # a dense 3001^2 matrix alone is 72 MB
+
+    def test_edgeless_graph_is_all_ones(self):
+        g = CascadeGraph(3, [])
+        n = g.n
+        assert np.array_equal(leaderrank(g).scores, np.ones(n))
+        # the eigenvector oracle of test_dense_stationary_oracle agrees
+        P = np.zeros((n + 1, n + 1))
+        P[:n, n] = 1.0
+        P[n, :n] = 1.0 / n
+        vals, vecs = np.linalg.eig(P.T)
+        pi = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
+        pi = pi / pi.sum()
+        assert np.allclose(n * pi[:n] + pi[n], 1.0)
+
     def test_nonconvergence_raises(self):
         from keynodes.errors import NumericError
 
         g = path_graph(5)
         with pytest.raises(NumericError, match="converge"):
             leaderrank(g, tol=0.0, max_iters=3)
+
+
+def full_scan_greedy(g, budget, d):
+    """Reference: rescan every unchosen node for each pick."""
+    budget = min(budget, g.n)
+    covers = [np.fromiter(sorted(reachable_within(g, u, d)), dtype=np.int64) for u in range(g.n)]
+    covered = np.zeros(g.n, dtype=bool)
+    picked = []
+    chosen = np.zeros(g.n, dtype=bool)
+    while len(picked) < budget and not covered.all():
+        best_v, best_gain = -1, 0
+        for v in range(g.n):
+            if chosen[v]:
+                continue
+            gain = int(np.count_nonzero(~covered[covers[v]]))
+            if gain > best_gain:
+                best_v, best_gain = v, gain
+        if best_v < 0:
+            break
+        picked.append(best_v)
+        chosen[best_v] = True
+        covered[covers[best_v]] = True
+    if len(picked) < budget:
+        for v in degree_centrality(g).order():
+            if not chosen[v]:
+                picked.append(int(v))
+                chosen[v] = True
+                if len(picked) == budget:
+                    break
+    return tuple(picked)
 
 
 class TestGreedy:
@@ -201,6 +296,29 @@ class TestGreedy:
             cov = len(set().union(*(covers[u] for u in seeds)))
             assert cov >= prev
             prev = cov
+
+    def test_matches_full_scan(self):
+        rng = np.random.default_rng(15)
+        for trial in range(200):
+            n = int(rng.integers(4, 31))
+            g = random_digraph(rng, n, float(rng.uniform(0.02, 0.25)))
+            d = 1 + trial % 2
+            for budget in (1, 2, max(1, n // 4), n // 2 + 1, n):
+                assert greedy_dcover(g, budget, d).members == full_scan_greedy(g, budget, d), (
+                    trial,
+                    budget,
+                )
+
+    def test_tied_stars_take_smaller_id(self):
+        # four disjoint 3-leaf stars centred on 9, 2, 6, 0: equal gains
+        centres = (9, 2, 6, 0)
+        leaves = iter(v for v in range(16) if v not in centres)
+        edges = [(c, next(leaves)) for c in centres for _ in range(3)]
+        g = CascadeGraph(16, edges)
+        for budget in range(1, 7):
+            got = greedy_dcover(g, budget, 1).members
+            assert got == full_scan_greedy(g, budget, 1), budget
+            assert got[:4] == (0, 2, 6, 9)[:budget], budget
 
     def test_pads_with_degree_once_covered(self):
         g = star_graph(4)  # center covers everything at d=1
