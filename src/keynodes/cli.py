@@ -28,6 +28,18 @@ _META_VERSION = 1.0
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exits 1 on usage errors; ``flags`` maps each flag's dest to its action
+    and the ``action=`` name it was added with."""
+
+    def __init__(self, *args, **kwargs):
+        self.flags: dict[str, tuple[argparse.Action, str]] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = (action, kwargs.get("action", "store"))
+        return action
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -110,6 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p)
     p.set_defaults(func=cmd_compare)
+    parser.verbs = sub.choices  # verb -> subparser, for config files
     return parser
 
 
@@ -128,10 +141,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
     path = Path(args.config)
     if not path.is_file():
         raise DataError(f"{path}: config file not found")
-    sub = None
-    for action in parser._subparsers._group_actions:  # find the active subparser
-        sub = action.choices[args.command]
-    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
+    sub = parser.verbs[args.command]
     overrides = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         s = line.strip()
@@ -141,11 +151,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
             raise DataError(f"{path}:{lineno}: expected 'key = value'")
         key, _, raw = s.partition("=")
         key, raw = key.strip(), raw.strip()
-        action = actions.get(key.replace("-", "_"))
-        if action is None:
+        dest = key.replace("-", "_")
+        if dest not in sub.flags or dest == "help":
             raise DataError(f"{path}:{lineno}: unknown option {key!r}")
         try:
-            overrides[action.dest] = _config_value(action, raw)
+            overrides[dest] = _config_value(*sub.flags[dest], raw)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise DataError(f"{path}:{lineno}: bad value {raw!r} for {key}: {exc}") from None
     # explicit flags win: re-parse with file values as defaults
@@ -153,9 +163,9 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
     return parser.parse_args(argv)
 
 
-def _config_value(action: argparse.Action, raw: str):
-    """Convert one config-file value the way argparse would convert the flag."""
-    if isinstance(action, argparse._StoreTrueAction):
+def _config_value(action: argparse.Action, kind: str, raw: str):
+    """Convert a config-file value as argparse converts a flag added with ``action=kind``."""
+    if kind == "store_true":
         if raw.lower() not in _BOOLS:
             raise ValueError(f"expected one of {', '.join(_BOOLS)}")
         return _BOOLS[raw.lower()]
@@ -166,7 +176,7 @@ def _config_value(action: argparse.Action, raw: str):
             raise ValueError(f"choose from {', '.join(map(str, action.choices))}")
         return val
 
-    if isinstance(action, argparse._AppendAction):
+    if kind == "append":
         return [one(v.strip()) for v in raw.split(",") if v.strip()]
     return one(raw)
 
@@ -182,10 +192,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -94,53 +94,45 @@ def raw_walk_statistics(
     Columns: out-degree and in-degree (each over n-1), mean and max
     out-degree of visited nodes, return frequency, distinct-visit ratio,
     fraction of walks that ran the full length without getting stuck, and
-    mean depth reached.  Each node samples its walks from its own derived
-    RNG stream, so results are independent of evaluation order.
+    mean depth reached.  All N * walks_per_node walks advance together over
+    CSR arrays, drawing from one generator seeded with ``cfg.rng_seed``, so
+    the draws depend only on (graph, rng_seed), not on edge order.
     """
     gv = g.undirected() if undirected else g
-    adj = gv.out_adj
-    outdeg = gv.out_degrees().astype(np.float64)
-    indeg = gv.in_degrees().astype(np.float64)
-    denom = max(g.n - 1, 1)
-    steps_total = cfg.walks_per_node * cfg.walk_len
-
-    stats = np.zeros((g.n, STRUCT_DIM), dtype=np.float64)
-    for v in range(g.n):
-        rng = np.random.default_rng(derived_seed(cfg.rng_seed, v))
-        visited: list[int] = []
-        distinct = {v}
-        returns = 0
-        depth_sum = 0
-        full_walks = 0
-        for _ in range(cfg.walks_per_node):
-            cur = v
-            depth = 0
-            stuck = False
-            for _ in range(cfg.walk_len):
-                nbrs = adj[cur]
-                if nbrs.size == 0:
-                    cur = v
-                    depth = 0
-                    stuck = True
-                else:
-                    cur = int(nbrs[rng.integers(nbrs.size)])
-                    depth += 1
-                visited.append(cur)
-                distinct.add(cur)
-                if cur == v:
-                    returns += 1
-                depth_sum += depth
-            if not stuck:
-                full_walks += 1
-        vis_deg = outdeg[visited]
-        stats[v, 0] = outdeg[v] / denom
-        stats[v, 1] = indeg[v] / denom
-        stats[v, 2] = vis_deg.mean()
-        stats[v, 3] = vis_deg.max()
-        stats[v, 4] = returns / steps_total
-        stats[v, 5] = len(distinct) / (steps_total + 1)
-        stats[v, 6] = full_walks / cfg.walks_per_node
-        stats[v, 7] = depth_sum / steps_total
+    n, walks, steps = g.n, cfg.walks_per_node, cfg.walk_len
+    indices = gv.edges[np.lexsort(gv.edges.T[::-1]), 1]  # out-neighbours by (src, dst)
+    outdeg = gv.out_degrees()
+    indptr = np.concatenate(([0], np.cumsum(outdeg)))
+    start = np.repeat(np.arange(n), walks)
+    cur, depth, depth_sum = start, 0, 0
+    stuck = np.zeros(start.size, dtype=bool)
+    visited = np.empty((start.size, steps), dtype=np.int64)
+    rng = np.random.default_rng(cfg.rng_seed)
+    for t in range(steps):
+        deg = outdeg[cur]
+        move = deg > 0
+        # floor(u * deg) can round up to deg; stuck walks never index `indices`
+        off = np.minimum((rng.random(start.size) * deg).astype(np.int64), deg - 1)
+        nxt = start.copy()
+        nxt[move] = indices[indptr[cur[move]] + off[move]]
+        visited[:, t] = cur = nxt
+        depth = np.where(move, depth + 1, 0)
+        depth_sum = depth_sum + depth
+        stuck |= ~move
+    vis = visited.reshape(n, walks * steps)
+    home = np.arange(n)[:, None]
+    vis_deg = outdeg[vis]
+    ordered = np.sort(np.hstack([home, vis]), axis=1)
+    denom = max(n - 1, 1)
+    stats = np.empty((n, STRUCT_DIM), dtype=np.float64)
+    stats[:, 0] = outdeg / denom
+    stats[:, 1] = gv.in_degrees() / denom
+    stats[:, 2] = vis_deg.mean(axis=1)
+    stats[:, 3] = vis_deg.max(axis=1)
+    stats[:, 4] = (vis == home).mean(axis=1)
+    stats[:, 5] = (1 + (ordered[:, 1:] != ordered[:, :-1]).sum(axis=1)) / (walks * steps + 1)
+    stats[:, 6] = (~stuck).reshape(n, walks).mean(axis=1)
+    stats[:, 7] = depth_sum.reshape(n, walks).sum(axis=1) / (walks * steps)
     return stats
 
 

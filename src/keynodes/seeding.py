@@ -6,7 +6,7 @@ import numpy as np
 def derived_seed(*parts: int) -> int:
     """Stable 32-bit seed mixed from non-negative integer parts.
 
-    Used to give every (node, run, graph, ...) its own independent stream so
+    Used to give every (run, graph, ...) its own independent stream so
     results stay bit-identical regardless of evaluation order or parallelism.
     """
     entropy = [int(p) for p in parts]

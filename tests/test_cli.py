@@ -172,6 +172,27 @@ class TestTrain:
         assert main(argv) == 2
         assert f"{cfgfile}:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, line, dest, value",
+        [
+            ("train", "undirected = yes", "undirected", True),
+            ("train", "undirected = 0", "undirected", False),
+            ("compare", "ablate = no-user, all", "ablate", ["no-user", "all"]),
+            ("compare", "runs = 7", "runs", 7),
+        ],
+    )
+    def test_config_value_converts_by_flag_kind(self, tmp_path, command, line, dest, value):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(line + "\n")
+        argv = [command, "--data", "d", "--out", "o", "--config", str(cfgfile)]
+        assert getattr(cli._apply_config(cli.build_parser(), argv), dest) == value
+
+    def test_help_is_not_a_config_key(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("help = 1\n")
+        assert main(["gen", "--out", str(tmp_path / "d"), "--config", str(cfgfile)]) == 2
+        assert "unknown option 'help'" in capsys.readouterr().err
+
 
 class TestScore:
     def test_scores_csv_contract(self, dataset, trained, tmp_path):

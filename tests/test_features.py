@@ -8,12 +8,57 @@ from keynodes.features import (
     USER_DIM,
     FeatureMatrix,
     WalkConfig,
+    featurize_graph,
     normalize_features,
     random_walk_features,
     raw_walk_statistics,
     user_feature_matrix,
 )
 from keynodes.graphs import CascadeGraph, UserRecord, synth_cascade
+from keynodes.seeding import derived_seed
+
+
+def loop_walk_statistics(g, cfg, undirected=False):
+    """Reference walker: one Python loop per node and step, each node drawing
+    from its own derived RNG stream.  Same distribution as
+    raw_walk_statistics, different draws."""
+    gv = g.undirected() if undirected else g
+    adj = gv.out_adj
+    outdeg = gv.out_degrees().astype(np.float64)
+    indeg = gv.in_degrees().astype(np.float64)
+    denom = max(g.n - 1, 1)
+    steps_total = cfg.walks_per_node * cfg.walk_len
+    stats = np.zeros((g.n, STRUCT_DIM), dtype=np.float64)
+    for v in range(g.n):
+        rng = np.random.default_rng(derived_seed(cfg.rng_seed, v))
+        visited, distinct = [], {v}
+        returns = depth_sum = full_walks = 0
+        for _ in range(cfg.walks_per_node):
+            cur, depth, stuck = v, 0, False
+            for _ in range(cfg.walk_len):
+                nbrs = adj[cur]
+                if nbrs.size == 0:
+                    cur, depth, stuck = v, 0, True
+                else:
+                    cur = int(nbrs[rng.integers(nbrs.size)])
+                    depth += 1
+                visited.append(cur)
+                distinct.add(cur)
+                returns += cur == v
+                depth_sum += depth
+            full_walks += not stuck
+        vis_deg = outdeg[visited]
+        stats[v] = (
+            outdeg[v] / denom,
+            indeg[v] / denom,
+            vis_deg.mean(),
+            vis_deg.max(),
+            returns / steps_total,
+            len(distinct) / (steps_total + 1),
+            full_walks / cfg.walks_per_node,
+            depth_sum / steps_total,
+        )
+    return stats
 
 
 class TestUserView:
@@ -139,6 +184,69 @@ class TestWalks:
             got = np.array([raw[v, 4], raw[v, 6], raw[v, 7]])
             band = 3.0 * std * np.sqrt(1.0 / walks + 1.0 / n_oracle)
             assert np.all(np.abs(got - mean) <= band + 1e-12), (v, got, mean, band)
+
+    @pytest.mark.parametrize("undirected", [False, True])
+    @pytest.mark.parametrize("graph", ["digraph0", "digraph1", "digraph2", "cascade"])
+    def test_matches_reference_walker(self, graph, undirected):
+        """Degree columns equal the per-node loop's exactly; every walk
+        column's mean over nodes agrees within 3 standard errors of the
+        per-node differences."""
+        if graph == "cascade":
+            g = synth_cascade(300, 0.1, 0.3, 5)
+        else:
+            g = random_digraph(np.random.default_rng(int(graph[-1])), 60, 0.04)
+        cfg = WalkConfig(walks_per_node=10, walk_len=4, rng_seed=5)
+        got = raw_walk_statistics(g, cfg, undirected=undirected)
+        ref = loop_walk_statistics(g, cfg, undirected=undirected)
+        assert np.array_equal(got[:, :2], ref[:, :2])
+        diff = got[:, 2:] - ref[:, 2:]
+        stderr = diff.std(axis=0, ddof=1) / np.sqrt(g.n)
+        assert np.all(np.abs(diff.mean(axis=0)) <= 3.0 * stderr + 1e-12), (diff.mean(axis=0), stderr)
+
+    @pytest.mark.parametrize("undirected", [False, True])
+    def test_independent_of_edge_order(self, undirected):
+        g = synth_cascade(200, 0.1, 0.3, 4)
+        perm = np.random.default_rng(2).permutation(len(g.edges))
+        g2 = CascadeGraph(g.n, g.edges[perm], source=g.source)
+        cfg = WalkConfig(rng_seed=11)
+        a = raw_walk_statistics(g, cfg, undirected=undirected)
+        assert np.array_equal(a, raw_walk_statistics(g2, cfg, undirected=undirected))
+
+    def test_one_derived_seed_per_graph(self, monkeypatch):
+        import keynodes.features as features
+
+        calls = []
+
+        def counting(*parts):
+            calls.append(parts)
+            return derived_seed(*parts)
+
+        monkeypatch.setattr(features, "derived_seed", counting)
+        featurize_graph(synth_cascade(80, 0.1, 0.3, 2), WalkConfig(), 7, 3)
+        assert calls == [(7, 3)]
+
+    def test_memory_stays_small_at_5000_nodes(self):
+        import tracemalloc
+
+        g = synth_cascade(5000, 0.1, 0.3, 5)
+        tracemalloc.start()
+        try:
+            raw_walk_statistics(g, WalkConfig(rng_seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20, peak
+
+    @pytest.mark.parametrize("undirected", [False, True])
+    def test_edgeless_and_sink_only_nodes(self, undirected):
+        cfg = WalkConfig(walks_per_node=3, walk_len=5, rng_seed=4)
+        sink_row = [0.0, 0.0, 0.0, 0.0, 1.0, 1 / 16, 0.0, 0.0]
+        raw = raw_walk_statistics(CascadeGraph(4, []), cfg, undirected=undirected)
+        assert np.array_equal(raw, np.tile(sink_row, (4, 1)))
+        raw = raw_walk_statistics(CascadeGraph(3, [(0, 2), (1, 2)]), cfg, undirected=undirected)
+        assert np.isfinite(raw).all()
+        if not undirected:  # node 2 has only in-edges
+            assert np.array_equal(raw[2, 2:], sink_row[2:])
 
     def test_config_validation(self):
         with pytest.raises(DataError):
