@@ -8,6 +8,7 @@ sidecar label list for reporting.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -421,7 +422,57 @@ def save_cascade(g: CascadeGraph, dir_path) -> None:
 
 # -- synthetic cascades ------------------------------------------------------
 
-_LETTERS = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+_EPS = float(np.finfo(np.float64).eps)
+_ALPHABET = np.frombuffer(b"abcdefghijklmnopqrstuvwxyz", dtype=np.uint8)
+
+
+class _AttachIndex:
+    """Positive integer weights over nodes 0..n-1 in a Fenwick tree
+    (Fenwick 1994): O(log n) to add weight and to draw by weight.
+
+    ``draw(t, u)`` returns the index that ``Generator.choice(t, p=w / w.sum())``
+    returns when the one uniform double it consumes is ``u``, where ``w`` are
+    the weights of nodes 0..t-1 and every node >= t still has weight 0.  The
+    integer prefix sums decide unless ``u * total`` lies within the roundoff of
+    numpy's float cdf of a prefix boundary; only then is that cdf rebuilt.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.weights = [0] * n
+        self.total = 0
+        self._tree = [0] * (n + 1)
+        self._top = 1 << (n.bit_length() - 1)
+
+    def add(self, i: int, delta: int) -> None:
+        self.weights[i] += delta
+        self.total += delta
+        tree, n = self._tree, self.n
+        i += 1
+        while i <= n:
+            tree[i] += delta
+            i += i & -i
+
+    def draw(self, t: int, u: float) -> int:
+        tree, n = self._tree, self.n
+        x = u * self.total
+        pos = acc = 0
+        step = self._top
+        while step:
+            nxt = pos + step
+            if nxt <= n and acc + tree[nxt] <= x:
+                pos = nxt
+                acc += tree[nxt]
+            step >>= 1
+        # pos is the first index whose inclusive prefix sum exceeds x; numpy's
+        # cdf entries are within (t + 2) * eps of the exact prefix ratios
+        margin = 4 * (t + 2) * _EPS * self.total
+        if pos < t and x - acc > margin and acc + self.weights[pos] - x > margin:
+            return pos
+        w = np.array(self.weights[:t], dtype=np.float64)
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(u, side="right"))
 
 
 def synth_cascade(
@@ -437,25 +488,31 @@ def synth_cascade(
     tailed hub structure of real cascades.  ``extra_edge_frac * n`` extra
     retweet edges are layered on top.  followers_count correlates with
     out-degree, log-normally perturbed by ``attr_noise``.  Deterministic for
-    a fixed seed.
+    a fixed seed.  Each weighted draw costs O(log n), so a cascade takes
+    O(n log n); the random stream, and so every output bit, is the same as
+    drawing with ``rng.choice(t, p=w / w.sum())`` over the full weight vector.
     """
     if n_nodes < 10:
         raise DataError(f"n_nodes must be >= 10, got {n_nodes}")
+    if not (math.isfinite(extra_edge_frac) and math.isfinite(attr_noise)):
+        raise DataError("extra_edge_frac and attr_noise must be finite")
     if extra_edge_frac < 0 or attr_noise < 0:
         raise DataError("extra_edge_frac and attr_noise must be >= 0")
     rng = np.random.default_rng(rng_seed)
 
-    outdeg = np.zeros(n_nodes, dtype=np.int64)
-    retweet_time = np.zeros(n_nodes, dtype=np.float64)
+    # weights[v] = out-degree + 1 once v has joined
+    index = _AttachIndex(n_nodes)
+    index.add(0, 1)
+    retweet_time = [0.0] * n_nodes
     edges: list[tuple[int, int]] = []
     delays: list[float] = []
     for t in range(1, n_nodes):
-        w = outdeg[:t] + 1.0
-        parent = int(rng.choice(t, p=w / w.sum()))
+        parent = index.draw(t, rng.random())
         edges.append((parent, t))
         retweet_time[t] = retweet_time[parent] + rng.exponential(60.0)
         delays.append(retweet_time[t])
-        outdeg[parent] += 1
+        index.add(parent, 1)
+        index.add(t, 1)
 
     present = set(edges)
     n_extra = int(round(extra_edge_frac * n_nodes))
@@ -463,28 +520,29 @@ def synth_cascade(
     added = 0
     while added < n_extra and attempts < 50 * (n_extra + 1):
         attempts += 1
-        w = outdeg + 1.0
-        src = int(rng.choice(n_nodes, p=w / w.sum()))
+        src = index.draw(n_nodes, rng.random())
         dst = int(rng.integers(1, n_nodes))
         if src == dst or (src, dst) in present:
             continue
         present.add((src, dst))
         edges.append((src, dst))
         delays.append(max(retweet_time[src], retweet_time[dst]) + rng.exponential(60.0))
-        outdeg[src] += 1
+        index.add(src, 1)
         added += 1
 
     users = []
     for v in range(n_nodes):
         followers = int(
-            round(50.0 * (outdeg[v] + 1) * np.exp(attr_noise * rng.standard_normal()))
+            round(50.0 * index.weights[v] * np.exp(attr_noise * rng.standard_normal()))
         )
         name_len = int(rng.integers(3, 13))
-        name = "".join(_LETTERS[rng.integers(0, 26, size=name_len)])
+        name = _ALPHABET[rng.integers(0, 26, size=name_len)].tobytes().decode("ascii")
         has_desc = rng.random() < 0.7
         desc_len = int(rng.integers(5, 121))
         description = (
-            "".join(_LETTERS[rng.integers(0, 26, size=desc_len)]) if has_desc else None
+            _ALPHABET[rng.integers(0, 26, size=desc_len)].tobytes().decode("ascii")
+            if has_desc
+            else None
         )
         friends = int(rng.poisson(80))
         statuses = int(rng.poisson(200))
@@ -500,7 +558,7 @@ def synth_cascade(
                 statuses_count=statuses,
                 verified=verified,
                 geo_enabled=geo,
-                retweet_delay_s=float(retweet_time[v]) if v != 0 else None,
+                retweet_delay_s=retweet_time[v] if v != 0 else None,
             )
         )
     return CascadeGraph(n_nodes, edges, delays, users=users, source=0)

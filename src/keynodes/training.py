@@ -40,8 +40,10 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise DataError("lambda must be > 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise DataError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise DataError(f"lambda must be finite and > 0, got {self.lam}")
         if not (0 < self.seed_fraction <= 1):
             raise DataError("seed_fraction must be in (0, 1]")
         if self.batch_size < 1 or self.epochs < 1 or self.d_cover < 1:
@@ -80,8 +82,8 @@ def coverage_loss(tape: Tape, scores_id: int, g: CascadeGraph, lam: float, d: in
     """
     if g.n == 0:
         raise DataError("coverage loss needs a non-empty graph")
-    if lam <= 0:
-        raise DataError("lambda must be > 0")
+    if not (math.isfinite(lam) and lam > 0):
+        raise DataError(f"lambda must be finite and > 0, got {lam}")
     u_idx, v_idx = cover_pairs(g, d) if pairs is None else pairs
     one = tape.leaf(np.ones((1, 1)))
     one_minus = tape.record("add", [one, tape.record("scalar_mul", [scores_id], c=-1.0)])

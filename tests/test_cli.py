@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import HOSTILE_CASES, hostile_checkpoint
+from conftest import HOSTILE_CASES, hostile_checkpoint, loop_synth_cascade
 
 import keynodes
 from keynodes import cli, training
@@ -15,6 +15,8 @@ from keynodes.autodiff import load_checkpoint, save_checkpoint
 from keynodes.cli import main
 from keynodes.epidemic import REPORT_HEADER
 from keynodes.features import featurize_graph
+from keynodes.graphs import save_cascade
+from keynodes.seeding import derived_seed
 
 
 def tree_bytes(root: Path) -> dict:
@@ -77,6 +79,25 @@ class TestGen:
     def test_bad_params_exit_2(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "x"), "--nodes-min", "5"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--extra-edge-frac", "--attr-noise"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_param_exit_2(self, tmp_path, capsys, flag, value):
+        assert main(["gen", "--out", str(tmp_path / "x"), flag, value]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_default_gen_matches_choice_reference(self, tmp_path):
+        argv = ["gen", "--out", str(tmp_path / "got"), "--n-graphs", "3", "--seed", "6"]
+        assert main(argv) == 0
+        args = cli.build_parser().parse_args(argv)
+        sizes = np.random.default_rng(6).integers(args.nodes_min, args.nodes_max + 1, size=3)
+        for i, n in enumerate(sizes):
+            seed = derived_seed(6, i)
+            g = loop_synth_cascade(int(n), args.extra_edge_frac, args.attr_noise, seed)
+            save_cascade(g, tmp_path / "want" / f"g{i:03d}")
+        got = tree_bytes(tmp_path / "got")
+        del got["manifest.json"]
+        assert got == tree_bytes(tmp_path / "want")
+
 
 class TestTrain:
     def test_outputs_exist(self, trained):
@@ -106,6 +127,16 @@ class TestTrain:
 
     def test_missing_dataset_exit_2(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--lr", "-1"), ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"), ("--lam", "nan")],
+    )
+    def test_bad_step_size_exit_2_before_training(self, dataset, tmp_path, capsys, flag, value):
+        rc = main(["train", "--data", str(dataset), "--out", str(tmp_path), flag, value])
+        assert rc == 2
+        assert "must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "best.ckpt").exists()
 
     def test_undirected_flag_round_trips_through_checkpoint(self, dataset, tmp_path):
         rc = main(

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from conftest import edge_sets, path_graph, random_dag, random_digraph
+from conftest import edge_sets, loop_synth_cascade, path_graph, random_dag, random_digraph
 
 from keynodes.errors import DataError
 from keynodes.graphs import (
     CascadeGraph,
+    _AttachIndex,
     UserRecord,
     bfs_distances,
     largest_component_size,
@@ -256,6 +257,65 @@ class TestSynth:
             synth_cascade(5, 0.0, 0.0, 1)
         with pytest.raises(DataError):
             synth_cascade(20, -0.1, 0.0, 1)
+
+    @pytest.mark.parametrize(
+        "extra_edge_frac, attr_noise",
+        [(np.nan, 0.0), (np.inf, 0.0), (0.1, np.nan), (0.1, np.inf), (-np.inf, 0.0)],
+    )
+    def test_non_finite_parameters_rejected(self, extra_edge_frac, attr_noise):
+        with pytest.raises(DataError, match="finite"):
+            synth_cascade(20, extra_edge_frac, attr_noise, 1)
+
+    @pytest.mark.parametrize(
+        "extra_edge_frac, attr_noise", [(0.1, 0.3), (0.0, 0.0), (0.5, 1.0), (9.0, 0.2)]
+    )
+    def test_matches_choice_reference(self, extra_edge_frac, attr_noise):
+        capped = False
+        for n in (10, 11, 37, 150, 400):
+            for seed in range(4):
+                g = synth_cascade(n, extra_edge_frac, attr_noise, seed)
+                want = loop_synth_cascade(n, extra_edge_frac, attr_noise, seed)
+                assert g.edges.tolist() == want.edges.tolist()
+                assert g.delays.tobytes() == want.delays.tobytes()
+                assert g.users == want.users
+                capped |= len(g.edges) < n - 1 + round(extra_edge_frac * n)
+        # at 9 extras per node the small graphs run out of free (src, dst)
+        # pairs, so duplicate draws are rejected until the attempt cap
+        assert capped == (extra_edge_frac == 9.0)
+
+    def test_boundary_draw_takes_exact_fallback(self):
+        rng = np.random.default_rng(0)
+        disagreements = 0
+        for _ in range(40):
+            t = int(rng.integers(2, 60))
+            w = rng.integers(1, 6, size=t)
+            index = _AttachIndex(t + 3)
+            for i, wi in enumerate(w):
+                index.add(i, int(wi))
+            prefix, total = np.cumsum(w), int(w.sum())
+            p = w / w.sum()
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            for b in prefix[:-1]:
+                for u in (b / total, np.nextafter(b / total, 0), np.nextafter(b / total, 1)):
+                    u = float(u)
+                    want = int(cdf.searchsorted(u, side="right"))
+                    exact = int(np.searchsorted(prefix, u * total, side="right"))
+                    disagreements += exact != want
+                    assert index.draw(t, u) == want
+        # integer prefix sums alone would answer differently on these u
+        assert disagreements > 0
+
+    def test_never_calls_generator_choice(self, monkeypatch):
+        class NoChoice(np.random.Generator):
+            def choice(self, *args, **kwargs):
+                raise AssertionError("Generator.choice called")
+
+        want = synth_cascade(300, 0.5, 0.3, 2)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoChoice(np.random.PCG64(seed)))
+        g = synth_cascade(300, 0.5, 0.3, 2)
+        assert g.edges.tolist() == want.edges.tolist()
+        assert g.users == want.users
 
     def test_followers_track_out_degree(self):
         g = synth_cascade(300, 0.0, 0.0, 9)

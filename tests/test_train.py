@@ -120,8 +120,9 @@ class TestCoverageLoss:
 
     def test_lambda_validated(self):
         g = path_graph(3)
-        with pytest.raises(DataError):
-            loss_value(g, np.zeros(3), lam=0.0)
+        for lam in (0.0, np.nan, np.inf):
+            with pytest.raises(DataError):
+                loss_value(g, np.zeros(3), lam=lam)
 
 
 class TestAdam:
@@ -232,6 +233,21 @@ class TestTrain:
     def test_needs_graphs(self):
         with pytest.raises(DataError):
             train([], [], TrainConfig())
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lr", -1.0),
+            ("lr", 0.0),
+            ("lr", np.nan),
+            ("lr", np.inf),
+            ("lam", np.nan),
+            ("lam", np.inf),
+        ],
+    )
+    def test_step_size_validated(self, field, value):
+        with pytest.raises(DataError, match="must be finite and > 0"):
+            TrainConfig(**{field: value})
 
     def test_best_checkpoint_returned(self):
         graphs = tiny_dataset(5, seed=6)
