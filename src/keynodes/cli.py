@@ -24,7 +24,7 @@ from .model import ABLATIONS, ModelConfig, validate_params
 from .seeding import derived_seed
 from .training import TrainConfig, score_graph, select_seeds, train
 
-_META_VERSION = 1.0
+_META_VERSION = 2.0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -263,8 +263,6 @@ def _pack_meta(model_cfg: ModelConfig, walk_cfg: WalkConfig, undirected: bool, a
         [
             [
                 _META_VERSION,
-                model_cfg.user_dim,
-                model_cfg.struct_dim,
                 model_cfg.hidden,
                 model_cfg.heads,
                 model_cfg.mem_groups,
@@ -282,19 +280,20 @@ def _unpack_meta(params: ParamStore):
     if "meta" not in params:
         raise DataError("checkpoint has no meta tensor; not produced by this tool?")
     row = params["meta"].ravel()
-    if row.size != 11 or row[0] != _META_VERSION:
-        raise DataError(f"unsupported checkpoint meta (version {row[0] if row.size else '?'})")
+    if not row.size or row[0] != _META_VERSION:
+        found = f"{row[0]:g}" if row.size else "?"
+        raise DataError(
+            f"checkpoint format version {found} is not supported (expected {_META_VERSION:g}); "
+            "retrain the model to get a checkpoint this version can read"
+        )
+    if row.size != 9:
+        raise DataError(f"checkpoint meta has {row.size} entries, expected 9")
     model_cfg = ModelConfig(
-        user_dim=int(row[1]),
-        struct_dim=int(row[2]),
-        hidden=int(row[3]),
-        heads=int(row[4]),
-        mem_groups=int(row[5]),
-        mem_slots=int(row[6]),
+        hidden=int(row[1]), heads=int(row[2]), mem_groups=int(row[3]), mem_slots=int(row[4])
     )
-    walk_cfg = WalkConfig(walks_per_node=int(row[7]), walk_len=int(row[8]))
-    undirected = bool(row[9])
-    bits = int(row[10])
+    walk_cfg = WalkConfig(walks_per_node=int(row[5]), walk_len=int(row[6]))
+    undirected = bool(row[7])
+    bits = int(row[8])
     ablate = frozenset(a for i, a in enumerate(ABLATIONS) if bits & (1 << i))
     weights = ParamStore({k: v for k, v in params.items() if k != "meta"})
     return weights, model_cfg, walk_cfg, undirected, ablate

@@ -143,10 +143,12 @@ class CascadeGraph:
         return self._und_graph
 
     def _find_source(self) -> int:
-        indeg = self.in_degrees()
-        for v in range(self.n):
-            if indeg[v] == 0 and len(_bfs(self.out_adj, v)) == self.n:
-                return v
+        """The in-degree-0 node that reaches every node, else 0.  A node that
+        reaches every node leaves no other node without an in-edge, so only
+        a sole in-degree-0 node can qualify and one BFS decides."""
+        roots = np.flatnonzero(self.in_degrees() == 0)
+        if len(roots) == 1 and len(_bfs(self.out_adj, int(roots[0]))) == self.n:
+            return int(roots[0])
         return 0
 
 

@@ -20,23 +20,22 @@ from .graphs import CascadeGraph
 
 ABLATIONS = ("no-user", "no-memory", "no-fusion")
 VIEWS = ("user", "struct")
+VIEW_DIMS = {"user": USER_DIM, "struct": STRUCT_DIM}
+N_LAYERS = 2
+LEAKY_SLOPE = 0.2
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    user_dim: int = USER_DIM
-    struct_dim: int = STRUCT_DIM
     hidden: int = 64
     heads: int = 4
     mem_groups: int = 4
     mem_slots: int = 32
-    leaky_slope: float = 0.2
-    n_layers: int = 2
 
     def __post_init__(self):
         if self.hidden % self.heads != 0:
             raise DataError(f"hidden {self.hidden} not divisible by heads {self.heads}")
-        if min(self.hidden, self.heads, self.mem_groups, self.mem_slots, self.n_layers) < 1:
+        if min(self.hidden, self.heads, self.mem_groups, self.mem_slots) < 1:
             raise DataError("model dimensions must be >= 1")
 
     @property
@@ -60,6 +59,10 @@ def _uniform(rng, fan_in, shape):
 def init_params(cfg: ModelConfig, rng_seed: int = 0, ablate=frozenset()) -> ParamStore:
     """Fresh parameters: uniform(+-sqrt(1/fan_in)), memory slots normal(0, 0.1).
 
+    Each attention layer is stored fused: ``gat<l>.W`` (L, H*F) holds the
+    heads' projections side by side and ``a_src``/``a_dst`` (H*F, 1) their
+    attention vectors stacked; ``mem<l>.slots`` (G*b, L) stacks the memory
+    groups.  Values are drawn head by head and group by group, then stacked.
     Ablated components are simply not created, so their tensors never appear
     in checkpoints.
     """
@@ -70,18 +73,22 @@ def init_params(cfg: ModelConfig, rng_seed: int = 0, ablate=frozenset()) -> Para
     for view in VIEWS:
         if view == "user" and "no-user" in ablate:
             continue
-        f_in = cfg.user_dim if view == "user" else cfg.struct_dim
+        f_in = VIEW_DIMS[view]
         p[f"{view}.proj.W"] = _uniform(rng, f_in, (f_in, L))
         p[f"{view}.proj.b"] = _uniform(rng, f_in, (1, L))
-        for layer in range(cfg.n_layers):
-            for k in range(cfg.heads):
-                base = f"{view}.gat{layer}.h{k}"
-                p[f"{base}.W"] = _uniform(rng, L, (L, F))
-                p[f"{base}.a_src"] = _uniform(rng, 2 * F, (F, 1))
-                p[f"{base}.a_dst"] = _uniform(rng, 2 * F, (F, 1))
+        for layer in range(N_LAYERS):
+            heads = [
+                (_uniform(rng, L, (L, F)), _uniform(rng, 2 * F, (F, 1)), _uniform(rng, 2 * F, (F, 1)))
+                for _ in range(cfg.heads)
+            ]
+            Ws, a_srcs, a_dsts = zip(*heads)
+            p[f"{view}.gat{layer}.W"] = np.concatenate(Ws, axis=1)
+            p[f"{view}.gat{layer}.a_src"] = np.concatenate(a_srcs)
+            p[f"{view}.gat{layer}.a_dst"] = np.concatenate(a_dsts)
             if "no-memory" not in ablate:
-                for i in range(cfg.mem_groups):
-                    p[f"{view}.mem{layer}.m{i}"] = rng.normal(0.0, 0.1, size=(cfg.mem_slots, L))
+                p[f"{view}.mem{layer}.slots"] = np.concatenate(
+                    [rng.normal(0.0, 0.1, size=(cfg.mem_slots, L)) for _ in range(cfg.mem_groups)]
+                )
                 p[f"{view}.mem{layer}.conv_w"] = _uniform(rng, cfg.mem_groups, (cfg.mem_groups, 1))
                 p[f"{view}.mem{layer}.conv_b"] = _uniform(rng, cfg.mem_groups, (1, 1))
         p[f"{view}.score.W"] = _uniform(rng, L, (L, 1))
@@ -142,26 +149,27 @@ def attention_indices(g: CascadeGraph, undirected: bool = False):
 # -- tape-level building blocks ------------------------------------------------
 
 
-def gat_layer(tape, h, src, dst, n_nodes, head_ids, slope=0.2):
+def gat_layer(tape, h, src, dst, n_nodes, W, a_src, a_dst, heads, slope=0.2):
     """One multi-head attention layer over the given edge list.
 
-    head_ids is a list of (W, a_src, a_dst) tape leaf ids.  Per head the
-    edge logit is leaky_relu(a_dst . W h_dst + a_src . W h_src), softmaxed
-    over each destination's incoming messages; head outputs are concatenated
-    and passed through elu.  The heads run together: one (L, H*F) projection,
+    W (L, H*F), a_src and a_dst (H*F, 1) are tape ids of the heads' weights
+    stacked: head k owns columns k*F..(k+1)*F of W and the same rows of the
+    a vectors.  Per head the edge logit is
+    leaky_relu(a_dst . W h_dst + a_src . W h_src), softmaxed over each
+    destination's incoming messages; head outputs are concatenated and
+    passed through elu.  The heads run together: one (L, H*F) projection,
     and a 0/1 (H*F, H) matrix marking each head's F columns that turns the
-    stacked a vectors block-diagonal and spreads (E, H) attention over (E, H*F).
+    a vectors block-diagonal and spreads (E, H) attention over (E, H*F).
     """
-    Ws, a_srcs, a_dsts = zip(*head_ids)
-    blocks = np.kron(np.eye(len(head_ids)), np.ones((tape.value(Ws[0]).shape[1], 1)))
+    blocks = np.kron(np.eye(heads), np.ones((tape.value(W).shape[1] // heads, 1)))
     mask = tape.leaf(blocks)
-    hw = tape.record("matmul", [h, tape.record("concat", Ws, axis=1)])
+    hw = tape.record("matmul", [h, W])
 
-    def head_scores(vecs, idx):  # (E, H): a_k . W_k h at each edge's idx end
-        block_diag = tape.record("mul", [tape.record("concat", vecs, axis=0), mask])
+    def head_scores(vec, idx):  # (E, H): a_k . W_k h at each edge's idx end
+        block_diag = tape.record("mul", [vec, mask])
         return tape.record("gather_rows", [tape.record("matmul", [hw, block_diag])], indices=idx)
 
-    logits = tape.record("add", [head_scores(a_dsts, dst), head_scores(a_srcs, src)])
+    logits = tape.record("add", [head_scores(a_dst, dst), head_scores(a_src, src)])
     att = tape.record(
         "segment_softmax",
         [tape.record("leaky_relu", [logits], alpha=slope)],
@@ -173,19 +181,20 @@ def gat_layer(tape, h, src, dst, n_nodes, head_ids, slope=0.2):
     return tape.record("elu", [tape.record("segment_sum", [msgs], segments=dst, num_segments=n_nodes)])
 
 
-def memory_read(tape, h, group_ids, conv_w, conv_b):
+def memory_read(tape, h, slots, conv_w, conv_b):
     """Soft read over every memory group, mixed by a kernel-1 convolution.
 
-    Per group: similarity softmax of node features against the slot matrix,
-    then the probability-weighted sum of slots; group outputs are combined
-    as conv_b + sum_i conv_w[i] * read_i.  The groups, each (b, L), run
-    together: one (N, G*b) similarity, a softmax per group, and one read
+    slots (G*b, L) stacks the G groups of b slots; G is the row count of
+    conv_w (G, 1).  Per group: similarity softmax of node features against
+    the group's slots, then the probability-weighted sum of slots; group
+    outputs are combined as conv_b + sum_i conv_w[i] * read_i.  The groups
+    run together: one (N, G*b) similarity, a softmax per group, and one read
     against the slots pre-scaled by their group's conv_w.
     """
-    slots = tape.record("concat", group_ids, axis=0)
+    groups = tape.value(conv_w).shape[0]
     logits = tape.record("matmul", [h, tape.record("transpose", [slots])])
-    probs = tape.record("row_softmax", [logits], group=len(group_ids))
-    slot_group = np.repeat(np.arange(len(group_ids)), tape.value(group_ids[0]).shape[0])
+    probs = tape.record("row_softmax", [logits], group=groups)
+    slot_group = np.repeat(np.arange(groups), tape.value(slots).shape[0] // groups)
     scale = tape.record("gather_rows", [conv_w], indices=slot_group)
     read = tape.record("matmul", [probs, tape.record("mul", [slots, scale])])
     return tape.record("add", [read, conv_b])
@@ -249,7 +258,7 @@ def mmen_forward(
     use_memory = "no-memory" not in ablate
 
     def view_forward(view, feats):
-        f_in = cfg.user_dim if view == "user" else cfg.struct_dim
+        f_in = VIEW_DIMS[view]
         if feats.shape != (g.n, f_in):
             raise ShapeError(
                 f"{view} features have shape {feats.shape}, expected {(g.n, f_in)}"
@@ -261,26 +270,12 @@ def mmen_forward(
                 binding[f"{view}.proj.b"],
             ],
         )
-        for layer in range(cfg.n_layers):
-            heads = [
-                (
-                    binding[f"{view}.gat{layer}.h{k}.W"],
-                    binding[f"{view}.gat{layer}.h{k}.a_src"],
-                    binding[f"{view}.gat{layer}.h{k}.a_dst"],
-                )
-                for k in range(cfg.heads)
-            ]
-            h = gat_layer(tape, h, src, dst, g.n, heads, slope=cfg.leaky_slope)
+        for layer in range(N_LAYERS):
+            gat = [binding[f"{view}.gat{layer}.{t}"] for t in ("W", "a_src", "a_dst")]
+            h = gat_layer(tape, h, src, dst, g.n, *gat, cfg.heads, slope=LEAKY_SLOPE)
             if use_memory:
-                groups = [binding[f"{view}.mem{layer}.m{i}"] for i in range(cfg.mem_groups)]
-                f_m = memory_read(
-                    tape,
-                    h,
-                    groups,
-                    binding[f"{view}.mem{layer}.conv_w"],
-                    binding[f"{view}.mem{layer}.conv_b"],
-                )
-                h = memory_enhance(tape, h, f_m)
+                mem = [binding[f"{view}.mem{layer}.{t}"] for t in ("slots", "conv_w", "conv_b")]
+                h = memory_enhance(tape, h, memory_read(tape, h, *mem))
         s = score_head(tape, h, binding[f"{view}.score.W"], binding[f"{view}.score.b"])
         return h, s
 

@@ -223,9 +223,10 @@ def test_c5_dense_attention_equivalence():
         ]
 
         tape = Tape()
-        head_ids = [(tape.leaf(W), tape.leaf(a1), tape.leaf(a2)) for W, a1, a2 in heads]
+        Ws, a1s, a2s = zip(*heads)
+        fused = [tape.leaf(np.concatenate(Ws, axis=1))] + [tape.leaf(np.concatenate(a)) for a in (a1s, a2s)]
         src, dst = attention_indices(g)
-        ours = tape.value(gat_layer(tape, tape.leaf(H), src, dst, n, head_ids, slope=0.2))
+        ours = tape.value(gat_layer(tape, tape.leaf(H), src, dst, n, *fused, len(heads), slope=0.2))
 
         allowed = np.eye(n, dtype=bool)
         for a, b in g.edges:

@@ -11,10 +11,10 @@ from conftest import HOSTILE_CASES, hostile_checkpoint, loop_synth_cascade
 
 import keynodes
 from keynodes import cli, training
-from keynodes.autodiff import load_checkpoint, save_checkpoint
+from keynodes.autodiff import ParamStore, load_checkpoint, save_checkpoint
 from keynodes.cli import main
 from keynodes.epidemic import REPORT_HEADER
-from keynodes.features import featurize_graph
+from keynodes.features import STRUCT_DIM, USER_DIM, featurize_graph
 from keynodes.graphs import save_cascade
 from keynodes.seeding import derived_seed
 
@@ -34,6 +34,24 @@ def count_featurize(monkeypatch) -> list:
     for mod in (cli, training):
         monkeypatch.setattr(mod, "featurize_graph", counting)
     return calls
+
+
+def save_format_1(params, path, heads=4, groups=4):
+    """Write a default-config model in checkpoint format 1: one tensor per
+    attention head and memory group, and an 11-entry meta row."""
+    old = ParamStore()
+    for name, val in params.items():
+        base, _, part = name.rpartition(".")
+        if ".gat" in base:
+            for k, piece in enumerate(np.split(val, heads, axis=1 if part == "W" else 0)):
+                old[f"{base}.h{k}.{part}"] = piece
+        elif part == "slots":
+            for i, piece in enumerate(np.split(val, groups)):
+                old[f"{base}.m{i}"] = piece
+        elif name != "meta":
+            old[name] = val
+    old["meta"] = np.array([[1.0, USER_DIM, STRUCT_DIM, 64, heads, groups, 32, 10, 4, 0, 0]])
+    save_checkpoint(old, path)
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +322,17 @@ class TestScore:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("verb", ["score", "compare"])
+    def test_format_1_checkpoint_exit_2(self, dataset, trained, tmp_path, capsys, verb):
+        old = tmp_path / "v1.ckpt"
+        save_format_1(load_checkpoint(trained / "best.ckpt"), old)
+        where = ["--cascade", str(dataset / "g000")] if verb == "score" else ["--data", str(dataset)]
+        rc = main([verb, "--checkpoint", str(old), *where, "--out", str(tmp_path / "out.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "checkpoint format version 1 is not supported (expected 2)" in err
+        assert "retrain" in err
 
     def test_nan_checkpoint_exit_3(self, dataset, trained, tmp_path):
         params = load_checkpoint(trained / "best.ckpt")

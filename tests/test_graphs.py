@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import edge_sets, loop_synth_cascade, path_graph, random_dag, random_digraph
 
+from keynodes import graphs
 from keynodes.errors import DataError
 from keynodes.graphs import (
     CascadeGraph,
@@ -324,6 +325,16 @@ class TestSynth:
         assert np.array_equal(followers, 50 * (out + 1))
 
 
+def loop_find_source(g):
+    """Reference: BFS from each in-degree-0 node in id order; the first that
+    reaches every node is the source, else 0."""
+    indeg = g.in_degrees()
+    for v in range(g.n):
+        if indeg[v] == 0 and len(graphs._bfs(g.out_adj, v)) == g.n:
+            return v
+    return 0
+
+
 class TestConstruction:
     def test_self_loops_and_duplicates_dropped(self):
         g = CascadeGraph(3, [(0, 0), (0, 1), (0, 1), (1, 2)])
@@ -391,3 +402,31 @@ class TestConstruction:
             for arr, want in zip(adj, ref):
                 assert arr.dtype == np.int64
                 assert arr.tolist() == sorted(want)
+
+    def test_source_matches_loop_reference(self):
+        rng = np.random.default_rng(17)
+        found = set()
+        for trial in range(300):
+            n = int(rng.integers(1, 12))
+            edges = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))  # loops, repeats
+            if trial % 2:  # a spanning tree under a random root, plus the extras
+                perm = rng.permutation(n)
+                tree = [(perm[rng.integers(0, t)], perm[t]) for t in range(1, n)]
+                edges = np.concatenate([np.array(tree, dtype=np.int64).reshape(-1, 2), edges])
+            g = CascadeGraph(n, edges)
+            want = loop_find_source(g)
+            assert g.source == want
+            found.add(want > 0)
+        assert found == {False, True}
+
+    def test_source_search_runs_one_bfs(self, monkeypatch):
+        starts = []
+        bfs = graphs._bfs
+        monkeypatch.setattr(graphs, "_bfs", lambda adj, v, *a: starts.append(v) or bfs(adj, v, *a))
+        half = 200  # nodes 0..199 all feed a chain 200 -> 201 -> ... -> 399
+        chain = [(v, v + 1) for v in range(half, 2 * half - 1)]
+        g = CascadeGraph(2 * half, [(r, half) for r in range(half)] + chain)
+        assert g.source == 0 and len(starts) <= 1
+        starts.clear()
+        g = CascadeGraph(5, [(3, 0), (3, 1), (1, 2), (2, 4), (0, 4)])
+        assert g.source == 3 and starts == [3]

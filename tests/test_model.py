@@ -7,6 +7,8 @@ from keynodes.errors import DataError, ShapeError
 from keynodes.features import featurize_graph, WalkConfig
 from keynodes.graphs import CascadeGraph, UserRecord, synth_cascade
 from keynodes.model import (
+    LEAKY_SLOPE,
+    N_LAYERS,
     ModelConfig,
     attention_indices,
     bind_params,
@@ -62,11 +64,21 @@ def random_heads(rng, n_heads, f_in, f_head):
     ]
 
 
+def stacked_leaves(tape, heads):
+    """Per-head (W, a_src, a_dst) as gat_layer's three fused leaves."""
+    Ws, a_srcs, a_dsts = zip(*heads)
+    return [
+        tape.leaf(np.concatenate(Ws, axis=1)),
+        tape.leaf(np.concatenate(a_srcs)),
+        tape.leaf(np.concatenate(a_dsts)),
+    ]
+
+
 def run_gat(g, H, heads, slope=0.2):
     tape = Tape()
-    head_ids = [(tape.leaf(W), tape.leaf(a1), tape.leaf(a2)) for W, a1, a2 in heads]
+    fused = stacked_leaves(tape, heads)
     src, dst = attention_indices(g)
-    out = gat_layer(tape, tape.leaf(H), src, dst, g.n, head_ids, slope=slope)
+    out = gat_layer(tape, tape.leaf(H), src, dst, g.n, *fused, len(heads), slope=slope)
     return tape.value(out)
 
 
@@ -113,13 +125,10 @@ class TestFusedOpCounts:
         counts = []
         for n_heads in (1, 4):
             tape = Tape()
-            head_ids = [
-                (tape.leaf(W), tape.leaf(a1), tape.leaf(a2))
-                for W, a1, a2 in random_heads(rng, n_heads, 8, 2)
-            ]
+            fused = stacked_leaves(tape, random_heads(rng, n_heads, 8, 2))
             h = tape.leaf(H)
             start = len(tape.nodes)
-            gat_layer(tape, h, src, dst, g.n, head_ids)
+            gat_layer(tape, h, src, dst, g.n, *fused, n_heads)
             counts.append(len(tape.nodes) - start)
         assert counts[0] == counts[1]
 
@@ -128,12 +137,12 @@ class TestFusedOpCounts:
         counts = []
         for n_groups in (1, 4):
             tape = Tape()
-            gids = [tape.leaf(rng.normal(size=(5, 6))) for _ in range(n_groups)]
+            slots = tape.leaf(np.concatenate([rng.normal(size=(5, 6)) for _ in range(n_groups)]))
             h = tape.leaf(rng.normal(size=(9, 6)))
             conv_w = tape.leaf(rng.normal(size=(n_groups, 1)))
             conv_b = tape.leaf(rng.normal(size=(1, 1)))
             start = len(tape.nodes)
-            memory_read(tape, h, gids, conv_w, conv_b)
+            memory_read(tape, h, slots, conv_w, conv_b)
             counts.append(len(tape.nodes) - start)
         assert counts[0] == counts[1]
 
@@ -144,14 +153,14 @@ class TestFusedOpCounts:
         tape = Tape()
         fwd = mmen_forward(tape, g, user.values, struct.values, init_params(cfg, 0), cfg)
         coverage_loss(tape, fwd.score, g, 1.0, 1)
-        assert len(tape.nodes) <= 250  # 424 with heads and groups unrolled
+        assert len(tape.nodes) <= 180  # 424 unrolled, 240 with per-head leaves
 
 
 class TestMemory:
     def run_read(self, H, groups, conv_w, conv_b):
         tape = Tape()
-        gids = [tape.leaf(m) for m in groups]
-        out = memory_read(tape, tape.leaf(H), gids, tape.leaf(conv_w), tape.leaf(conv_b))
+        slots = tape.leaf(np.concatenate(groups))
+        out = memory_read(tape, tape.leaf(H), slots, tape.leaf(conv_w), tape.leaf(conv_b))
         return tape.value(out)
 
     def test_single_slot_returns_slot_row(self):
@@ -343,20 +352,23 @@ class TestForward:
                     binding[f"{view_name}.proj.b"],
                 ],
             )
-            for layer in range(SMALL.n_layers):
-                heads = [
-                    (
-                        binding[f"{view_name}.gat{layer}.h{k}.W"],
-                        binding[f"{view_name}.gat{layer}.h{k}.a_src"],
-                        binding[f"{view_name}.gat{layer}.h{k}.a_dst"],
-                    )
-                    for k in range(SMALL.heads)
-                ]
-                h = gat_layer(ref, h, src, dst, g.n, heads, slope=SMALL.leaky_slope)
+            for layer in range(N_LAYERS):
+                h = gat_layer(
+                    ref,
+                    h,
+                    src,
+                    dst,
+                    g.n,
+                    binding[f"{view_name}.gat{layer}.W"],
+                    binding[f"{view_name}.gat{layer}.a_src"],
+                    binding[f"{view_name}.gat{layer}.a_dst"],
+                    SMALL.heads,
+                    slope=LEAKY_SLOPE,
+                )
                 f_m = memory_read(
                     ref,
                     h,
-                    [binding[f"{view_name}.mem{layer}.m{i}"] for i in range(SMALL.mem_groups)],
+                    binding[f"{view_name}.mem{layer}.slots"],
                     binding[f"{view_name}.mem{layer}.conv_w"],
                     binding[f"{view_name}.mem{layer}.conv_b"],
                 )

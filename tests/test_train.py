@@ -220,13 +220,13 @@ class TestTrain:
 
         def nan_grads(tape, binding):
             grads = collect_grads(tape, binding)
-            grads["struct.gat1.h2.W"][0, 0] = np.nan
+            grads["struct.gat1.W"][0, 0] = np.nan
             return grads
 
         steps = []
         monkeypatch.setattr(training, "collect_grads", nan_grads)
         monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(args))
-        with pytest.raises(NumericError, match=r"'struct\.gat1\.h2\.W'.*epoch 1"):
+        with pytest.raises(NumericError, match=r"'struct\.gat1\.W'.*epoch 1"):
             train(graphs[:1], graphs[1:], cfg, model_cfg=TINY)
         assert steps == []
 
