@@ -24,7 +24,13 @@ from .model import ABLATIONS, ModelConfig, validate_params
 from .seeding import derived_seed
 from .training import TrainConfig, score_graph, select_seeds, train
 
-_META_VERSION = 2.0
+_META_VERSION = 3.0
+# meta row entries after the version, each an integer in [min, max]; None: unbounded
+_META_BOUNDS = {
+    "hidden": (1, None), "heads": (1, None), "mem_groups": (1, None), "mem_slots": (1, None),
+    "walks_per_node": (1, None), "walk_len": (1, None),
+    "undirected": (0, 1), "ablation_bits": (0, 2 ** len(ABLATIONS) - 1),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -276,7 +282,10 @@ def _pack_meta(model_cfg: ModelConfig, walk_cfg: WalkConfig, undirected: bool, a
     )
 
 
-def _unpack_meta(params: ParamStore):
+def _load_model(path):
+    """Read a checkpoint and check it: (weights, model config, walk config,
+    undirected, ablations).  Any bad meta entry or tensor is a DataError."""
+    params = load_checkpoint(path)
     if "meta" not in params:
         raise DataError("checkpoint has no meta tensor; not produced by this tool?")
     row = params["meta"].ravel()
@@ -286,17 +295,19 @@ def _unpack_meta(params: ParamStore):
             f"checkpoint format version {found} is not supported (expected {_META_VERSION:g}); "
             "retrain the model to get a checkpoint this version can read"
         )
-    if row.size != 9:
-        raise DataError(f"checkpoint meta has {row.size} entries, expected 9")
-    model_cfg = ModelConfig(
-        hidden=int(row[1]), heads=int(row[2]), mem_groups=int(row[3]), mem_slots=int(row[4])
-    )
-    walk_cfg = WalkConfig(walks_per_node=int(row[5]), walk_len=int(row[6]))
-    undirected = bool(row[7])
-    bits = int(row[8])
+    if row.size != 1 + len(_META_BOUNDS):
+        raise DataError(f"checkpoint meta has {row.size} entries, expected {1 + len(_META_BOUNDS)}")
+    for (key, (lo, hi)), x in zip(_META_BOUNDS.items(), row[1:].tolist()):
+        if not (x.is_integer() and lo <= x and (hi is None or x <= hi)):
+            want = f"an integer >= {lo}" if hi is None else f"an integer in {lo}..{hi}"
+            raise DataError(f"checkpoint meta entry {key!r} is {x:g}; expected {want}")
+    hidden, heads, groups, slots, walks, walk_len, undirected, bits = map(int, row[1:].tolist())
+    model_cfg = ModelConfig(hidden=hidden, heads=heads, mem_groups=groups, mem_slots=slots)
+    walk_cfg = WalkConfig(walks_per_node=walks, walk_len=walk_len)
     ablate = frozenset(a for i, a in enumerate(ABLATIONS) if bits & (1 << i))
     weights = ParamStore({k: v for k, v in params.items() if k != "meta"})
-    return weights, model_cfg, walk_cfg, undirected, ablate
+    validate_params(weights, model_cfg, ablate)
+    return weights, model_cfg, walk_cfg, bool(undirected), ablate
 
 
 def cmd_train(args) -> int:
@@ -348,9 +359,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    raw = load_checkpoint(args.checkpoint)
-    params, model_cfg, walk_cfg, undirected, ablate = _unpack_meta(raw)
-    validate_params(params, model_cfg, ablate)
+    params, model_cfg, walk_cfg, undirected, ablate = _load_model(args.checkpoint)
     g = load_cascade(args.cascade)
     user, struct = featurize_graph(g, walk_cfg, args.seed, 0, undirected=undirected)
     scores, s_user, s_struct, weights = score_graph(
@@ -388,9 +397,7 @@ def cmd_compare(args) -> int:
     if args.checkpoint or "mmen" in methods or ablations:
         if not args.checkpoint:
             raise DataError("the mmen method needs --checkpoint")
-        raw = load_checkpoint(args.checkpoint)
-        params, model_cfg, walk_cfg, undirected, base_ablate = _unpack_meta(raw)
-        validate_params(params, model_cfg, base_ablate)
+        params, model_cfg, walk_cfg, undirected, base_ablate = _load_model(args.checkpoint)
         variants = {"mmen": base_ablate}
         variants.update({f"mmen-{a}": base_ablate | {a} for a in ablations})
         scores = {name: [] for name in variants}

@@ -121,16 +121,10 @@ class CascadeGraph:
         return self.undirected().out_adj
 
     def out_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        if len(self.edges):
-            deg += np.bincount(self.edges[:, 0], minlength=self.n)
-        return deg
+        return np.bincount(self.edges[:, 0], minlength=self.n)
 
     def in_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        if len(self.edges):
-            deg += np.bincount(self.edges[:, 1], minlength=self.n)
-        return deg
+        return np.bincount(self.edges[:, 1], minlength=self.n)
 
     def undirected(self) -> "CascadeGraph":
         """Symmetrized view: every edge present in both directions."""
@@ -488,9 +482,10 @@ def synth_cascade(
     Node 0 posts; each later node retweets an existing node chosen with
     probability proportional to (out-degree + 1), which yields the heavy-
     tailed hub structure of real cascades.  ``extra_edge_frac * n`` extra
-    retweet edges are layered on top.  followers_count correlates with
-    out-degree, log-normally perturbed by ``attr_noise``.  Deterministic for
-    a fixed seed.  Each weighted draw costs O(log n), so a cascade takes
+    retweet edges are layered on top; asking for more than the
+    (n - 1)(n - 2) pairs left free is a DataError.  followers_count
+    correlates with out-degree, log-normally perturbed by ``attr_noise``.
+    Deterministic for a fixed seed.  Each weighted draw costs O(log n), so a cascade takes
     O(n log n); the random stream, and so every output bit, is the same as
     drawing with ``rng.choice(t, p=w / w.sum())`` over the full weight vector.
     """
@@ -500,6 +495,13 @@ def synth_cascade(
         raise DataError("extra_edge_frac and attr_noise must be finite")
     if extra_edge_frac < 0 or attr_noise < 0:
         raise DataError("extra_edge_frac and attr_noise must be >= 0")
+    n_extra = int(round(extra_edge_frac * n_nodes))
+    free_pairs = (n_nodes - 1) * (n_nodes - 2)  # (src, dst): dst != 0, src != dst, not a tree edge
+    if n_extra > free_pairs:
+        raise DataError(
+            f"extra_edge_frac {extra_edge_frac} asks for {n_extra} extra edges; "
+            f"a {n_nodes}-node cascade has room for {free_pairs}"
+        )
     rng = np.random.default_rng(rng_seed)
 
     # weights[v] = out-degree + 1 once v has joined
@@ -517,7 +519,6 @@ def synth_cascade(
         index.add(t, 1)
 
     present = set(edges)
-    n_extra = int(round(extra_edge_frac * n_nodes))
     attempts = 0
     added = 0
     while added < n_extra and attempts < 50 * (n_extra + 1):

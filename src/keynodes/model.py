@@ -62,14 +62,14 @@ def init_params(cfg: ModelConfig, rng_seed: int = 0, ablate=frozenset()) -> Para
     Each attention layer is stored fused: ``gat<l>.W`` (L, H*F) holds the
     heads' projections side by side and ``a_src``/``a_dst`` (H*F, 1) their
     attention vectors stacked; ``mem<l>.slots`` (G*b, L) stacks the memory
-    groups.  Values are drawn head by head and group by group, then stacked.
+    groups.  Each tensor is drawn in one call, in the shape it is stored.
     Ablated components are simply not created, so their tensors never appear
     in checkpoints.
     """
     ablate = check_ablations(ablate)
     rng = np.random.default_rng(rng_seed)
     p = ParamStore()
-    L, F = cfg.hidden, cfg.head_dim
+    L, H, F, G = cfg.hidden, cfg.heads, cfg.head_dim, cfg.mem_groups
     for view in VIEWS:
         if view == "user" and "no-user" in ablate:
             continue
@@ -77,20 +77,12 @@ def init_params(cfg: ModelConfig, rng_seed: int = 0, ablate=frozenset()) -> Para
         p[f"{view}.proj.W"] = _uniform(rng, f_in, (f_in, L))
         p[f"{view}.proj.b"] = _uniform(rng, f_in, (1, L))
         for layer in range(N_LAYERS):
-            heads = [
-                (_uniform(rng, L, (L, F)), _uniform(rng, 2 * F, (F, 1)), _uniform(rng, 2 * F, (F, 1)))
-                for _ in range(cfg.heads)
-            ]
-            Ws, a_srcs, a_dsts = zip(*heads)
-            p[f"{view}.gat{layer}.W"] = np.concatenate(Ws, axis=1)
-            p[f"{view}.gat{layer}.a_src"] = np.concatenate(a_srcs)
-            p[f"{view}.gat{layer}.a_dst"] = np.concatenate(a_dsts)
+            p[f"{view}.gat{layer}.W"] = _uniform(rng, L, (L, H * F))
+            p[f"{view}.gat{layer}.a_src"] = _uniform(rng, 2 * F, (H * F, 1))
+            p[f"{view}.gat{layer}.a_dst"] = _uniform(rng, 2 * F, (H * F, 1))
             if "no-memory" not in ablate:
-                p[f"{view}.mem{layer}.slots"] = np.concatenate(
-                    [rng.normal(0.0, 0.1, size=(cfg.mem_slots, L)) for _ in range(cfg.mem_groups)]
-                )
-                p[f"{view}.mem{layer}.conv_w"] = _uniform(rng, cfg.mem_groups, (cfg.mem_groups, 1))
-                p[f"{view}.mem{layer}.conv_b"] = _uniform(rng, cfg.mem_groups, (1, 1))
+                p[f"{view}.mem{layer}.slots"] = rng.normal(0.0, 0.1, size=(G * cfg.mem_slots, L))
+                p[f"{view}.mem{layer}.conv_w"] = _uniform(rng, G, (G, 1))
         p[f"{view}.score.W"] = _uniform(rng, L, (L, 1))
         p[f"{view}.score.b"] = _uniform(rng, L, (1, 1))
     if "no-fusion" not in ablate and "no-user" not in ablate:
@@ -139,8 +131,6 @@ def attention_indices(g: CascadeGraph, undirected: bool = False):
     """
     gv = g.undirected() if undirected else g
     loops = np.arange(g.n, dtype=np.int64)
-    if len(gv.edges) == 0:
-        return loops, loops
     src = np.concatenate([gv.edges[:, 0], loops])
     dst = np.concatenate([gv.edges[:, 1], loops])
     return src, dst
@@ -181,13 +171,14 @@ def gat_layer(tape, h, src, dst, n_nodes, W, a_src, a_dst, heads, slope=0.2):
     return tape.record("elu", [tape.record("segment_sum", [msgs], segments=dst, num_segments=n_nodes)])
 
 
-def memory_read(tape, h, slots, conv_w, conv_b):
+def memory_read(tape, h, slots, conv_w):
     """Soft read over every memory group, mixed by a kernel-1 convolution.
 
     slots (G*b, L) stacks the G groups of b slots; G is the row count of
     conv_w (G, 1).  Per group: similarity softmax of node features against
     the group's slots, then the probability-weighted sum of slots; group
-    outputs are combined as conv_b + sum_i conv_w[i] * read_i.  The groups
+    outputs are combined as sum_i conv_w[i] * read_i.  The convolution has
+    no bias: memory_enhance's row layer norm would cancel it.  The groups
     run together: one (N, G*b) similarity, a softmax per group, and one read
     against the slots pre-scaled by their group's conv_w.
     """
@@ -196,8 +187,7 @@ def memory_read(tape, h, slots, conv_w, conv_b):
     probs = tape.record("row_softmax", [logits], group=groups)
     slot_group = np.repeat(np.arange(groups), tape.value(slots).shape[0] // groups)
     scale = tape.record("gather_rows", [conv_w], indices=slot_group)
-    read = tape.record("matmul", [probs, tape.record("mul", [slots, scale])])
-    return tape.record("add", [read, conv_b])
+    return tape.record("matmul", [probs, tape.record("mul", [slots, scale])])
 
 
 def memory_enhance(tape, h, f_m):
@@ -274,7 +264,7 @@ def mmen_forward(
             gat = [binding[f"{view}.gat{layer}.{t}"] for t in ("W", "a_src", "a_dst")]
             h = gat_layer(tape, h, src, dst, g.n, *gat, cfg.heads, slope=LEAKY_SLOPE)
             if use_memory:
-                mem = [binding[f"{view}.mem{layer}.{t}"] for t in ("slots", "conv_w", "conv_b")]
+                mem = [binding[f"{view}.mem{layer}.{t}"] for t in ("slots", "conv_w")]
                 h = memory_enhance(tape, h, memory_read(tape, h, *mem))
         s = score_head(tape, h, binding[f"{view}.score.W"], binding[f"{view}.score.b"])
         return h, s

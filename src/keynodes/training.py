@@ -36,7 +36,6 @@ class TrainConfig:
     lam: float = 1.0
     d_cover: int = 1
     patience: int = 10
-    seed_fraction: float = 0.05
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -44,8 +43,6 @@ class TrainConfig:
             raise DataError(f"lr must be finite and > 0, got {self.lr}")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise DataError(f"lambda must be finite and > 0, got {self.lam}")
-        if not (0 < self.seed_fraction <= 1):
-            raise DataError("seed_fraction must be in (0, 1]")
         if self.batch_size < 1 or self.epochs < 1 or self.d_cover < 1:
             raise DataError("batch_size, epochs, d_cover must be >= 1")
         if self.patience < 0:

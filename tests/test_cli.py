@@ -36,21 +36,29 @@ def count_featurize(monkeypatch) -> list:
     return calls
 
 
-def save_format_1(params, path, heads=4, groups=4):
-    """Write a default-config model in checkpoint format 1: one tensor per
-    attention head and memory group, and an 11-entry meta row."""
+def save_old_format(params, path, version, heads=4, groups=4):
+    """Write a default-config model in an old checkpoint format.  Both add a
+    (1, 1) ``conv_b`` per memory bank.  Format 2 stores the tensors fused
+    with a 9-entry meta row; format 1 keeps one tensor per attention head
+    and memory group, and an 11-entry meta row."""
     old = ParamStore()
     for name, val in params.items():
         base, _, part = name.rpartition(".")
-        if ".gat" in base:
+        if version == 1 and ".gat" in base:
             for k, piece in enumerate(np.split(val, heads, axis=1 if part == "W" else 0)):
                 old[f"{base}.h{k}.{part}"] = piece
-        elif part == "slots":
+        elif version == 1 and part == "slots":
             for i, piece in enumerate(np.split(val, groups)):
                 old[f"{base}.m{i}"] = piece
         elif name != "meta":
             old[name] = val
-    old["meta"] = np.array([[1.0, USER_DIM, STRUCT_DIM, 64, heads, groups, 32, 10, 4, 0, 0]])
+        if part == "conv_w":
+            old[f"{base}.conv_b"] = np.zeros((1, 1))
+    old["meta"] = (
+        np.array([[1.0, USER_DIM, STRUCT_DIM, 64, heads, groups, 32, 10, 4, 0, 0]])
+        if version == 1
+        else np.array([[2.0, 64, heads, groups, 32, 10, 4, 0, 0]])
+    )
     save_checkpoint(old, path)
 
 
@@ -325,14 +333,37 @@ class TestScore:
 
     @pytest.mark.parametrize("verb", ["score", "compare"])
     def test_format_1_checkpoint_exit_2(self, dataset, trained, tmp_path, capsys, verb):
-        old = tmp_path / "v1.ckpt"
-        save_format_1(load_checkpoint(trained / "best.ckpt"), old)
+        """Formats 1 and 2 (both with conv_b) are rejected: retrain."""
         where = ["--cascade", str(dataset / "g000")] if verb == "score" else ["--data", str(dataset)]
-        rc = main([verb, "--checkpoint", str(old), *where, "--out", str(tmp_path / "out.csv")])
+        for version in (1, 2):
+            old = tmp_path / f"v{version}.ckpt"
+            save_old_format(load_checkpoint(trained / "best.ckpt"), old, version)
+            rc = main([verb, "--checkpoint", str(old), *where, "--out", str(tmp_path / "out.csv")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert f"checkpoint format version {version} is not supported (expected 3)" in err
+            assert "retrain" in err
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [("hidden", np.nan), ("hidden", 64.7), ("undirected", 7.0), ("ablation_bits", 1e30)],
+    )
+    def test_bad_meta_entry_exit_2(self, dataset, trained, tmp_path, capsys, entry, value):
+        params = load_checkpoint(trained / "best.ckpt")
+        at = {"hidden": 1, "undirected": 7, "ablation_bits": 8}[entry]
+        meta = params["meta"].copy()
+        meta[0, at] = value
+        params["meta"] = meta
+        bad = tmp_path / "meta.ckpt"
+        save_checkpoint(params, bad)
+        rc = main(
+            [
+                "score", "--checkpoint", str(bad),
+                "--cascade", str(dataset / "g000"), "--out", str(tmp_path / "s.csv"),
+            ]
+        )
         assert rc == 2
-        err = capsys.readouterr().err
-        assert "checkpoint format version 1 is not supported (expected 2)" in err
-        assert "retrain" in err
+        assert f"checkpoint meta entry {entry!r}" in capsys.readouterr().err
 
     def test_nan_checkpoint_exit_3(self, dataset, trained, tmp_path):
         params = load_checkpoint(trained / "best.ckpt")

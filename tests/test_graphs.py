@@ -258,6 +258,8 @@ class TestSynth:
             synth_cascade(5, 0.0, 0.0, 1)
         with pytest.raises(DataError):
             synth_cascade(20, -0.1, 0.0, 1)
+        with pytest.raises(DataError, match="asks for 10000 extra edges"):
+            synth_cascade(10, 1000, 0.0, 1)  # 9 * 8 = 72 free (src, dst) pairs
 
     @pytest.mark.parametrize(
         "extra_edge_frac, attr_noise",
@@ -268,21 +270,27 @@ class TestSynth:
             synth_cascade(20, extra_edge_frac, attr_noise, 1)
 
     @pytest.mark.parametrize(
-        "extra_edge_frac, attr_noise", [(0.1, 0.3), (0.0, 0.0), (0.5, 1.0), (9.0, 0.2)]
+        "extra_edge_frac, attr_noise",
+        # at 7.2 a 10-node cascade takes all 72 free (src, dst) pairs
+        [(0.1, 0.3), (0.0, 0.0), (0.5, 1.0), (9.0, 0.2), (7.2, 0.0)],
     )
     def test_matches_choice_reference(self, extra_edge_frac, attr_noise):
-        capped = False
+        refused = False
         for n in (10, 11, 37, 150, 400):
+            if round(extra_edge_frac * n) > (n - 1) * (n - 2):
+                # more extras than free (src, dst) pairs: refused up front
+                with pytest.raises(DataError, match="has room for"):
+                    synth_cascade(n, extra_edge_frac, attr_noise, 0)
+                refused = True
+                continue
             for seed in range(4):
                 g = synth_cascade(n, extra_edge_frac, attr_noise, seed)
                 want = loop_synth_cascade(n, extra_edge_frac, attr_noise, seed)
                 assert g.edges.tolist() == want.edges.tolist()
                 assert g.delays.tobytes() == want.delays.tobytes()
                 assert g.users == want.users
-                capped |= len(g.edges) < n - 1 + round(extra_edge_frac * n)
-        # at 9 extras per node the small graphs run out of free (src, dst)
-        # pairs, so duplicate draws are rejected until the attempt cap
-        assert capped == (extra_edge_frac == 9.0)
+        # at 9 extras per node the 10- and 11-node graphs lack free pairs
+        assert refused == (extra_edge_frac == 9.0)
 
     def test_boundary_draw_takes_exact_fallback(self):
         rng = np.random.default_rng(0)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from conftest import path_graph, random_digraph
@@ -140,9 +142,8 @@ class TestFusedOpCounts:
             slots = tape.leaf(np.concatenate([rng.normal(size=(5, 6)) for _ in range(n_groups)]))
             h = tape.leaf(rng.normal(size=(9, 6)))
             conv_w = tape.leaf(rng.normal(size=(n_groups, 1)))
-            conv_b = tape.leaf(rng.normal(size=(1, 1)))
             start = len(tape.nodes)
-            memory_read(tape, h, slots, conv_w, conv_b)
+            memory_read(tape, h, slots, conv_w)
             counts.append(len(tape.nodes) - start)
         assert counts[0] == counts[1]
 
@@ -153,28 +154,28 @@ class TestFusedOpCounts:
         tape = Tape()
         fwd = mmen_forward(tape, g, user.values, struct.values, init_params(cfg, 0), cfg)
         coverage_loss(tape, fwd.score, g, 1.0, 1)
-        assert len(tape.nodes) <= 180  # 424 unrolled, 240 with per-head leaves
+        assert len(tape.nodes) <= 170  # 424 unrolled, 240 with per-head leaves, 176 with conv_b
 
 
 class TestMemory:
-    def run_read(self, H, groups, conv_w, conv_b):
+    def run_read(self, H, groups, conv_w):
         tape = Tape()
         slots = tape.leaf(np.concatenate(groups))
-        out = memory_read(tape, tape.leaf(H), slots, tape.leaf(conv_w), tape.leaf(conv_b))
+        out = memory_read(tape, tape.leaf(H), slots, tape.leaf(conv_w))
         return tape.value(out)
 
     def test_single_slot_returns_slot_row(self):
         rng = np.random.default_rng(2)
         H = rng.normal(size=(5, 4))
         slot = rng.normal(size=(1, 4))
-        out = self.run_read(H, [slot], np.array([[1.0]]), np.array([[0.0]]))
+        out = self.run_read(H, [slot], np.array([[1.0]]))
         assert np.allclose(out, np.repeat(slot, 5, axis=0), atol=1e-14)
 
     def test_identical_rows_identical_reads(self):
         rng = np.random.default_rng(3)
         H = np.repeat(rng.normal(size=(1, 4)), 3, axis=0)
         groups = [rng.normal(size=(6, 4)) for _ in range(2)]
-        out = self.run_read(H, groups, rng.normal(size=(2, 1)), rng.normal(size=(1, 1)))
+        out = self.run_read(H, groups, rng.normal(size=(2, 1)))
         assert np.array_equal(out[0], out[1]) and np.array_equal(out[1], out[2])
 
     def test_matches_direct_formula(self):
@@ -183,9 +184,8 @@ class TestMemory:
         H = rng.normal(size=(n, L))
         groups = [rng.normal(size=(b, L)) for _ in range(groups_n)]
         conv_w = rng.normal(size=(groups_n, 1))
-        conv_b = rng.normal(size=(1, 1))
-        ours = self.run_read(H, groups, conv_w, conv_b)
-        ref = np.full((n, L), conv_b[0, 0])
+        ours = self.run_read(H, groups, conv_w)
+        ref = np.zeros((n, L))
         for i, m in enumerate(groups):
             for v in range(n):
                 logits = m @ H[v]
@@ -370,7 +370,6 @@ class TestForward:
                     h,
                     binding[f"{view_name}.mem{layer}.slots"],
                     binding[f"{view_name}.mem{layer}.conv_w"],
-                    binding[f"{view_name}.mem{layer}.conv_b"],
                 )
                 h = memory_enhance(ref, h, f_m)
             s = score_head(ref, h, binding[f"{view_name}.score.W"], binding[f"{view_name}.score.b"])
@@ -457,10 +456,9 @@ class TestParams:
 class TestDenseEquivalenceSweep:
     def test_twenty_random_graphs(self):
         rng = np.random.default_rng(99)
-        for _ in range(20):
-            n = int(rng.integers(2, 9))
-            g = random_digraph(rng, n, 0.3)
-            H = rng.normal(size=(n, 4))
+        randoms = (random_digraph(rng, int(rng.integers(2, 9)), 0.3) for _ in range(20))
+        for g in itertools.chain(randoms, [CascadeGraph(3, [])]):
+            H = rng.normal(size=(g.n, 4))
             heads = random_heads(rng, int(rng.integers(1, 4)), 4, 3)
             ours = run_gat(g, H, heads)
             ref = dense_gat_reference(H, heads, g.edges, g.n)
