@@ -20,7 +20,7 @@ from .epidemic import SirConfig, compare_methods
 from .errors import DataError, NumericError
 from .features import WalkConfig, dump_features_csv, featurize_graph
 from .graphs import load_cascade, save_cascade, synth_cascade
-from .model import ABLATIONS, ModelConfig, validate_params
+from .model import ABLATIONS, ModelConfig, param_shapes, validate_params
 from .seeding import derived_seed
 from .training import TrainConfig, score_graph, select_seeds, train
 
@@ -284,7 +284,9 @@ def _pack_meta(model_cfg: ModelConfig, walk_cfg: WalkConfig, undirected: bool, a
 
 def _load_model(path):
     """Read a checkpoint and check it: (weights, model config, walk config,
-    undirected, ablations).  Any bad meta entry or tensor is a DataError."""
+    undirected).  Any bad meta entry or tensor is a DataError.  The meta
+    ablation bits only say which tensors to expect; the weights themselves
+    then decide what the forward runs."""
     params = load_checkpoint(path)
     if "meta" not in params:
         raise DataError("checkpoint has no meta tensor; not produced by this tool?")
@@ -307,7 +309,7 @@ def _load_model(path):
     ablate = frozenset(a for i, a in enumerate(ABLATIONS) if bits & (1 << i))
     weights = ParamStore({k: v for k, v in params.items() if k != "meta"})
     validate_params(weights, model_cfg, ablate)
-    return weights, model_cfg, walk_cfg, bool(undirected), ablate
+    return weights, model_cfg, walk_cfg, bool(undirected)
 
 
 def cmd_train(args) -> int:
@@ -359,11 +361,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    params, model_cfg, walk_cfg, undirected, ablate = _load_model(args.checkpoint)
+    params, model_cfg, walk_cfg, undirected = _load_model(args.checkpoint)
     g = load_cascade(args.cascade)
     user, struct = featurize_graph(g, walk_cfg, args.seed, 0, undirected=undirected)
     scores, s_user, s_struct, weights = score_graph(
-        g, params, model_cfg, user.values, struct.values, ablate=ablate, undirected=undirected
+        g, params, model_cfg, user.values, struct.values, undirected=undirected
     )
     seeds = set(select_seeds(scores, args.fraction).members)
     w_user, w_stru = (0.0, 1.0) if weights is None else (float(weights[0]), float(weights[1]))
@@ -397,16 +399,18 @@ def cmd_compare(args) -> int:
     if args.checkpoint or "mmen" in methods or ablations:
         if not args.checkpoint:
             raise DataError("the mmen method needs --checkpoint")
-        params, model_cfg, walk_cfg, undirected, base_ablate = _load_model(args.checkpoint)
-        variants = {"mmen": base_ablate}
-        variants.update({f"mmen-{a}": base_ablate | {a} for a in ablations})
+        params, model_cfg, walk_cfg, undirected = _load_model(args.checkpoint)
+        # the checkpoint minus the <a> tensors, i.e. param_shapes(base | {a})
+        variants = {"mmen": params}
+        for a in ablations:
+            keep = param_shapes(model_cfg, {a})
+            variants[f"mmen-{a}"] = ParamStore({k: v for k, v in params.items() if k in keep})
         scores = {name: [] for name in variants}
         for gi, g in enumerate(graphs):
             user, struct = featurize_graph(g, walk_cfg, args.seed, gi, undirected=undirected)
             views = (user.values, struct.values)
-            for name, ablate in variants.items():
-                out = score_graph(g, params, model_cfg, *views, ablate, undirected)
-                scores[name].append(out[0])
+            for name, weights in variants.items():
+                scores[name].append(score_graph(g, weights, model_cfg, *views, undirected)[0])
         if "mmen" not in methods:
             methods.insert(0, "mmen")
         at = methods.index("mmen")

@@ -23,6 +23,11 @@ BUILTIN_METHODS = ("degree", "kshell", "hindex", "leaderrank", "greedy", "random
 
 REPORT_HEADER = "graph,method,st_mean,st_stderr,r,mu,runs,fraction"
 
+# method -> the ``baselines`` function whose ranking it takes the top k of;
+# looked up on the module at call time, so a wrapped function is the one called
+_RANKERS = {"degree": "degree_centrality", "kshell": "kshell", "hindex": "h_index",
+           "leaderrank": "leaderrank"}
+
 
 @dataclass(frozen=True)
 class SirConfig:
@@ -122,21 +127,11 @@ class EvalRow:
 class EvalReport:
     rows: list[EvalRow]
 
-    def methods(self) -> list[str]:
-        seen: list[str] = []
-        for row in self.rows:
-            if row.method not in seen:
-                seen.append(row.method)
-        return seen
-
-    def method_rows(self, method: str) -> list[EvalRow]:
-        return [r for r in self.rows if r.method == method]
-
     def method_means(self) -> dict[str, tuple[float, float]]:
-        """method -> (mean S_t, mean R) across graphs."""
+        """method -> (mean S_t, mean R) across graphs, in first-row order."""
         out = {}
-        for m in self.methods():
-            rows = self.method_rows(m)
+        for m in dict.fromkeys(r.method for r in self.rows):
+            rows = [r for r in self.rows if r.method == m]
             out[m] = (
                 float(np.mean([r.st_mean for r in rows])),
                 float(np.mean([r.r for r in rows])),
@@ -164,14 +159,8 @@ class EvalReport:
 def _select_for_method(method, g, gi, k, fraction, d_cover, cfg, scores):
     if method in scores:
         return select_seeds(scores[method][gi], fraction).members
-    if method == "degree":
-        return tuple(int(v) for v in baselines.degree_centrality(g).top(k))
-    if method == "kshell":
-        return tuple(int(v) for v in baselines.kshell(g).top(k))
-    if method == "hindex":
-        return tuple(int(v) for v in baselines.h_index(g).top(k))
-    if method == "leaderrank":
-        return tuple(int(v) for v in baselines.leaderrank(g).top(k))
+    if method in _RANKERS:
+        return tuple(int(v) for v in getattr(baselines, _RANKERS[method])(g).top(k))
     if method == "greedy":
         return baselines.greedy_dcover(g, k, d_cover).members
     if method == "random":

@@ -51,55 +51,60 @@ def check_ablations(ablate) -> frozenset:
     return ablate
 
 
-def _uniform(rng, fan_in, shape):
-    bound = np.sqrt(1.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def init_params(cfg: ModelConfig, rng_seed: int = 0, ablate=frozenset()) -> ParamStore:
-    """Fresh parameters: uniform(+-sqrt(1/fan_in)), memory slots normal(0, 0.1).
+def param_shapes(cfg: ModelConfig, ablate=frozenset()) -> dict[str, tuple]:
+    """Every tensor of the model under ``ablate``, in draw order:
+    name -> (shape, fan_in).  fan_in None marks the normal(0, 0.1) memory
+    slots; every other tensor is uniform(+-sqrt(1/fan_in)).
 
     Each attention layer is stored fused: ``gat<l>.W`` (L, H*F) holds the
     heads' projections side by side and ``a_src``/``a_dst`` (H*F, 1) their
     attention vectors stacked; ``mem<l>.slots`` (G*b, L) stacks the memory
-    groups.  Each tensor is drawn in one call, in the shape it is stored.
-    Ablated components are simply not created, so their tensors never appear
-    in checkpoints.
+    groups.  An ablated component has no tensors, so it is never created,
+    stored or run; the table for A | B is those for A and B intersected.
     """
     ablate = check_ablations(ablate)
-    rng = np.random.default_rng(rng_seed)
-    p = ParamStore()
     L, H, F, G = cfg.hidden, cfg.heads, cfg.head_dim, cfg.mem_groups
+    table = {}
     for view in VIEWS:
         if view == "user" and "no-user" in ablate:
             continue
         f_in = VIEW_DIMS[view]
-        p[f"{view}.proj.W"] = _uniform(rng, f_in, (f_in, L))
-        p[f"{view}.proj.b"] = _uniform(rng, f_in, (1, L))
+        table[f"{view}.proj.W"] = ((f_in, L), f_in)
+        table[f"{view}.proj.b"] = ((1, L), f_in)
         for layer in range(N_LAYERS):
-            p[f"{view}.gat{layer}.W"] = _uniform(rng, L, (L, H * F))
-            p[f"{view}.gat{layer}.a_src"] = _uniform(rng, 2 * F, (H * F, 1))
-            p[f"{view}.gat{layer}.a_dst"] = _uniform(rng, 2 * F, (H * F, 1))
+            table[f"{view}.gat{layer}.W"] = ((L, H * F), L)
+            table[f"{view}.gat{layer}.a_src"] = ((H * F, 1), 2 * F)
+            table[f"{view}.gat{layer}.a_dst"] = ((H * F, 1), 2 * F)
             if "no-memory" not in ablate:
-                p[f"{view}.mem{layer}.slots"] = rng.normal(0.0, 0.1, size=(G * cfg.mem_slots, L))
-                p[f"{view}.mem{layer}.conv_w"] = _uniform(rng, G, (G, 1))
-        p[f"{view}.score.W"] = _uniform(rng, L, (L, 1))
-        p[f"{view}.score.b"] = _uniform(rng, L, (1, 1))
+                table[f"{view}.mem{layer}.slots"] = ((G * cfg.mem_slots, L), None)
+                table[f"{view}.mem{layer}.conv_w"] = ((G, 1), G)
+        table[f"{view}.score.W"] = ((L, 1), L)
+        table[f"{view}.score.b"] = ((1, 1), L)
     if "no-fusion" not in ablate and "no-user" not in ablate:
-        p["fusion.W"] = _uniform(rng, 2 * L, (2 * L, 2))
-        p["fusion.b"] = _uniform(rng, 2 * L, (1, 2))
+        table["fusion.W"] = ((2 * L, 2), 2 * L)
+        table["fusion.b"] = ((1, 2), 2 * L)
+    return table
+
+
+def init_params(cfg: ModelConfig, rng_seed: int = 0, ablate=frozenset()) -> ParamStore:
+    """Fresh parameters: each tensor of ``param_shapes`` drawn in one call,
+    in table order and in the shape it is stored."""
+    rng = np.random.default_rng(rng_seed)
+    p = ParamStore()
+    for name, (shape, fan_in) in param_shapes(cfg, ablate).items():
+        if fan_in is None:
+            p[name] = rng.normal(0.0, 0.1, size=shape)
+        else:
+            bound = np.sqrt(1.0 / fan_in)
+            p[name] = rng.uniform(-bound, bound, size=shape)
     return p
 
 
-def expected_param_shapes(cfg: ModelConfig, ablate=frozenset()) -> dict[str, tuple]:
-    template = init_params(cfg, rng_seed=0, ablate=ablate)
-    return {name: val.shape for name, val in template.items()}
-
-
 def validate_params(params: ParamStore, cfg: ModelConfig, ablate=frozenset()) -> None:
-    """Check every expected tensor exists with the right shape."""
-    expected = expected_param_shapes(cfg, ablate)
-    for name, shape in expected.items():
+    """Check every tensor of ``param_shapes`` exists with the right shape and
+    no other tensor (bar ``meta``) does.  Draws and allocates nothing."""
+    expected = param_shapes(cfg, ablate)
+    for name, (shape, _) in expected.items():
         if name not in params:
             raise ShapeError(f"checkpoint missing tensor {name!r}")
         got = params[name].shape
@@ -236,16 +241,19 @@ def mmen_forward(
     params: ParamStore,
     cfg: ModelConfig,
     binding: dict[str, int] | None = None,
-    ablate=frozenset(),
     undirected: bool = False,
 ) -> ForwardResult:
-    """Full forward pass on one graph; returns tape ids of all outputs."""
-    ablate = check_ablations(ablate)
+    """Full forward pass on one graph; returns tape ids of all outputs.
+
+    The store is the architecture: the user view runs iff ``user.proj.W``
+    is present, memory iff ``struct.mem0.slots`` is, and the learned fusion
+    iff ``fusion.W`` is (else fixed 0.5/0.5 weights).  A store holding
+    ``param_shapes(cfg, A)`` (see ``validate_params``) runs ablation set A.
+    """
     if binding is None:
         binding = bind_params(tape, params)
     src, dst = attention_indices(g, undirected=undirected)
-    use_user = "no-user" not in ablate
-    use_memory = "no-memory" not in ablate
+    use_memory = "struct.mem0.slots" in params
 
     def view_forward(view, feats):
         f_in = VIEW_DIMS[view]
@@ -270,12 +278,12 @@ def mmen_forward(
         return h, s
 
     h_s, s2 = view_forward("struct", struct_feats)
-    if not use_user:
+    if "user.proj.W" not in params:
         return ForwardResult(s2, None, s2, None)
     h_u, s1 = view_forward("user", user_feats)
-    if "no-fusion" in ablate:
-        w = tape.leaf(np.array([[0.5, 0.5]]))
-    else:
+    if "fusion.W" in params:
         w = fusion_weights(tape, h_u, h_s, binding["fusion.W"], binding["fusion.b"])
+    else:
+        w = tape.leaf(np.array([[0.5, 0.5]]))
     s = fuse_scores(tape, s1, s2, w)
     return ForwardResult(s, s1, s2, w)

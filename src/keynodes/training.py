@@ -21,10 +21,10 @@ from .graphs import CascadeGraph, SeedSet, reachable_within
 from .model import (
     ModelConfig,
     bind_params,
-    check_ablations,
     collect_grads,
     init_params,
     mmen_forward,
+    validate_params,
 )
 
 
@@ -152,7 +152,7 @@ def prepare_graphs(
     return bundles
 
 
-def _graph_loss(tape, bundle, params, binding, model_cfg, cfg, ablate, undirected):
+def _graph_loss(tape, bundle, params, binding, model_cfg, cfg, undirected):
     fwd = mmen_forward(
         tape,
         bundle.graph,
@@ -161,7 +161,6 @@ def _graph_loss(tape, bundle, params, binding, model_cfg, cfg, ablate, undirecte
         params,
         model_cfg,
         binding=binding,
-        ablate=ablate,
         undirected=undirected,
     )
     return coverage_loss(tape, fwd.score, bundle.graph, cfg.lam, cfg.d_cover, pairs=bundle.pairs)
@@ -198,18 +197,19 @@ def train(
 
     Deterministic for a fixed cfg.rng_seed: parameter init, walk features,
     and the per-epoch shuffle all derive from it.  Returns the parameters of
-    the best validation epoch.
+    the best validation epoch.  ``ablate`` picks the tensors ``init_params``
+    creates; an ``init`` store must hold exactly those (ShapeError if not).
     """
     if not train_graphs or not val_graphs:
         raise DataError("need at least one training and one validation graph")
     model_cfg = model_cfg or ModelConfig()
     walk_cfg = walk_cfg or WalkConfig()
-    ablate = check_ablations(ablate)
+    if init is not None:
+        validate_params(init, model_cfg, ablate)
+    params = init.copy() if init is not None else init_params(model_cfg, cfg.rng_seed, ablate)
 
     train_b = prepare_graphs(train_graphs, cfg, walk_cfg, undirected)
     val_b = prepare_graphs(val_graphs, cfg, walk_cfg, undirected, index_offset=len(train_b))
-
-    params = init.copy() if init is not None else init_params(model_cfg, cfg.rng_seed, ablate)
     adam = AdamState.for_params(params)
     shuffle_rng = np.random.default_rng([cfg.rng_seed, 1])
 
@@ -224,9 +224,7 @@ def train(
             for gi in batch:
                 tape = Tape()
                 binding = bind_params(tape, params)
-                loss_id = _graph_loss(
-                    tape, train_b[gi], params, binding, model_cfg, cfg, ablate, undirected
-                )
+                loss_id = _graph_loss(tape, train_b[gi], params, binding, model_cfg, cfg, undirected)
                 epoch_loss += _check_finite(tape, loss_id, f"epoch {epoch} training")
                 tape.backward(loss_id)
                 grads = collect_grads(tape, binding)
@@ -245,7 +243,7 @@ def train(
         for bundle in val_b:
             tape = Tape()
             binding = bind_params(tape, params)
-            loss_id = _graph_loss(tape, bundle, params, binding, model_cfg, cfg, ablate, undirected)
+            loss_id = _graph_loss(tape, bundle, params, binding, model_cfg, cfg, undirected)
             val_loss += _check_finite(tape, loss_id, f"epoch {epoch} validation")
         val_loss /= len(val_b)
 
@@ -268,19 +266,17 @@ def score_graph(
     model_cfg: ModelConfig,
     user: np.ndarray,
     struct: np.ndarray,
-    ablate=frozenset(),
     undirected: bool = False,
 ):
     """Forward-only scores for one graph from the ``.values`` of its two
-    ``featurize_graph`` views, so several ablations can share one featurization.
+    ``featurize_graph`` views, so several parameter stores (a checkpoint and
+    its ablated subsets) can share one featurization.
 
     Returns (scores, s_user, s_struct, weights) as plain arrays; s_user and
-    weights are None when the user view is ablated.
+    weights are None when the store has no user view.
     """
     tape = Tape()
-    fwd = mmen_forward(
-        tape, g, user, struct, params, model_cfg, ablate=ablate, undirected=undirected
-    )
+    fwd = mmen_forward(tape, g, user, struct, params, model_cfg, undirected=undirected)
     scores = tape.value(fwd.score).ravel().copy()
     if not np.isfinite(scores).all():
         bad = first_nonfinite(tape)

@@ -13,10 +13,12 @@ import keynodes
 from keynodes import cli, training
 from keynodes.autodiff import ParamStore, load_checkpoint, save_checkpoint
 from keynodes.cli import main
-from keynodes.epidemic import REPORT_HEADER
-from keynodes.features import STRUCT_DIM, USER_DIM, featurize_graph
-from keynodes.graphs import save_cascade
+from keynodes.epidemic import REPORT_HEADER, compare_methods
+from keynodes.features import STRUCT_DIM, USER_DIM, WalkConfig, featurize_graph
+from keynodes.graphs import save_cascade, synth_cascade
+from keynodes.model import ModelConfig, init_params
 from keynodes.seeding import derived_seed
+from keynodes.training import score_graph
 
 
 def tree_bytes(root: Path) -> dict:
@@ -365,6 +367,32 @@ class TestScore:
         assert rc == 2
         assert f"checkpoint meta entry {entry!r}" in capsys.readouterr().err
 
+    def test_huge_meta_size_exit_2_without_drawing(
+        self, dataset, trained, tmp_path, capsys, monkeypatch
+    ):
+        """A meta row claiming hidden 400000 is rejected by tensor shape
+        alone: checking it draws no random numbers and allocates no weights.
+        (Generator is an immutable type, so its constructor is the patch point.)"""
+        params = load_checkpoint(trained / "best.ckpt")
+        meta = params["meta"].copy()
+        meta[0, 1:3] = (400000, 1)  # hidden, heads
+        params["meta"] = meta
+        bad = tmp_path / "huge.ckpt"
+        save_checkpoint(params, bad)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("checkpoint validation drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        rc = main(
+            [
+                "score", "--checkpoint", str(bad),
+                "--cascade", str(dataset / "g000"), "--out", str(tmp_path / "s.csv"),
+            ]
+        )
+        assert rc == 2
+        assert "tensor 'user.proj.W' has shape" in capsys.readouterr().err
+
     def test_nan_checkpoint_exit_3(self, dataset, trained, tmp_path):
         params = load_checkpoint(trained / "best.ckpt")
         params["struct.proj.W"] = np.full(params["struct.proj.W"].shape, np.nan)
@@ -411,6 +439,41 @@ class TestCompare:
         assert rc == 0
         manifest = json.loads((dataset / "manifest.json").read_text())
         assert calls == list(range(len(manifest["splits"]["test"])))
+
+    def test_inference_ablations_bitwise(self, tmp_path, monkeypatch):
+        """mmen-no-user is the full forward's s_struct and mmen-no-fusion is
+        0.5 s_user + 0.5 s_struct, bit for bit, on a 400-node cascade."""
+        data = tmp_path / "ds"
+        g = synth_cascade(400, 0.1, 0.5, 3)
+        save_cascade(g, data / "g000")
+        splits = {"train": [], "val": [], "test": ["g000"]}
+        (data / "manifest.json").write_text(json.dumps({"graphs": ["g000"], "splits": splits}))
+        model_cfg, walk_cfg = ModelConfig(), WalkConfig()
+        params = init_params(model_cfg, 9)
+        ckpt = params.copy()
+        ckpt["meta"] = cli._pack_meta(model_cfg, walk_cfg, False, frozenset())
+        save_checkpoint(ckpt, tmp_path / "m.ckpt")
+
+        seen = {}
+
+        def capture(graphs, methods, cfg, fraction, scores=None, **kwargs):
+            seen.update(scores)
+            return compare_methods(graphs, methods, cfg, fraction, scores=scores, **kwargs)
+
+        monkeypatch.setattr(cli, "compare_methods", capture)
+        rc = main(
+            [
+                "compare", "--data", str(data), "--checkpoint", str(tmp_path / "m.ckpt"),
+                "--out", str(tmp_path / "r.csv"), "--methods", "mmen", "--runs", "1",
+                "--ablate", "no-user", "--ablate", "no-fusion", "--seed", "4",
+            ]
+        )
+        assert rc == 0
+        user, struct = featurize_graph(g, walk_cfg, 4, 0)
+        full, s_user, s_struct, _ = score_graph(g, params, model_cfg, user.values, struct.values)
+        assert np.array_equal(seen["mmen"][0], full)
+        assert np.array_equal(seen["mmen-no-user"][0], s_struct)
+        assert np.array_equal(seen["mmen-no-fusion"][0], 0.5 * s_user + 0.5 * s_struct)
 
     def test_variant_rows_follow_mmen(self, dataset, trained, tmp_path):
         out = tmp_path / "r.csv"

@@ -21,6 +21,7 @@ from keynodes.model import (
     memory_enhance,
     memory_read,
     mmen_forward,
+    param_shapes,
     score_head,
     validate_params,
 )
@@ -294,9 +295,12 @@ class TestHeads:
 
 
 def forward_scores(g, params, cfg, ablate=frozenset(), seed=0):
+    """Forward with ``params`` minus the tensors ``ablate`` removes."""
     user, struct = featurize_graph(g, WalkConfig(), seed, 0)
+    keep = param_shapes(cfg, ablate)
+    params = ParamStore({k: v for k, v in params.items() if k in keep})
     tape = Tape()
-    fwd = mmen_forward(tape, g, user.values, struct.values, params, cfg, ablate=ablate)
+    fwd = mmen_forward(tape, g, user.values, struct.values, params, cfg)
     return tape, fwd
 
 
@@ -451,6 +455,42 @@ class TestParams:
     def test_unknown_ablation_rejected(self):
         with pytest.raises(DataError, match="no-gravity"):
             init_params(SMALL, 0, {"no-gravity"})
+
+    @pytest.mark.parametrize(
+        "ablate", [set(), {"no-user"}, {"no-memory"}, {"no-fusion"}, {"no-user", "no-memory"}]
+    )
+    def test_init_matches_documented_draw_order(self, ablate):
+        """Per view proj.W, proj.b; per layer gat.W, a_src, a_dst, mem.slots,
+        mem.conv_w; score.W, score.b; then fusion.W, fusion.b.  Each tensor is
+        one uniform(+-sqrt(1/fan_in)) draw, the slots one normal(0, 0.1) draw."""
+        L, H, F, G, b = SMALL.hidden, SMALL.heads, SMALL.head_dim, SMALL.mem_groups, SMALL.mem_slots
+        rng = np.random.default_rng(5)
+        ref = {}
+
+        def uniform(name, fan_in, shape):
+            bound = np.sqrt(1.0 / fan_in)
+            ref[name] = rng.uniform(-bound, bound, size=shape)
+
+        views = [("user", 9), ("struct", 8)] if "no-user" not in ablate else [("struct", 8)]
+        for view, f_in in views:
+            uniform(f"{view}.proj.W", f_in, (f_in, L))
+            uniform(f"{view}.proj.b", f_in, (1, L))
+            for layer in range(N_LAYERS):
+                uniform(f"{view}.gat{layer}.W", L, (L, H * F))
+                uniform(f"{view}.gat{layer}.a_src", 2 * F, (H * F, 1))
+                uniform(f"{view}.gat{layer}.a_dst", 2 * F, (H * F, 1))
+                if "no-memory" not in ablate:
+                    ref[f"{view}.mem{layer}.slots"] = rng.normal(0.0, 0.1, size=(G * b, L))
+                    uniform(f"{view}.mem{layer}.conv_w", G, (G, 1))
+            uniform(f"{view}.score.W", L, (L, 1))
+            uniform(f"{view}.score.b", L, (1, 1))
+        if not ablate & {"no-user", "no-fusion"}:
+            uniform("fusion.W", 2 * L, (2 * L, 2))
+            uniform("fusion.b", 2 * L, (1, 2))
+
+        got = init_params(SMALL, 5, ablate)
+        assert got.names() == list(ref)
+        assert all(np.array_equal(got[k], v) for k, v in ref.items())
 
 
 class TestDenseEquivalenceSweep:

@@ -3,7 +3,7 @@ import pytest
 from conftest import path_graph, random_digraph
 
 from keynodes.autodiff import ParamStore, Tape
-from keynodes.errors import DataError, NumericError
+from keynodes.errors import DataError, NumericError, ShapeError
 from keynodes.graphs import out_neighborhood, synth_cascade
 from keynodes import training
 from keynodes.model import ModelConfig, collect_grads, init_params
@@ -213,6 +213,14 @@ class TestTrain:
         bad["struct.proj.W"] = np.full_like(bad["struct.proj.W"], np.nan)
         with pytest.raises(NumericError, match="op"):
             train(graphs[:1], graphs[1:], cfg, model_cfg=TINY, init=bad)
+
+    def test_init_missing_tensor_rejected_before_training(self, monkeypatch):
+        graphs = tiny_dataset(2, seed=4)
+        init = init_params(TINY, rng_seed=0)
+        partial = ParamStore({k: v for k, v in init.items() if k != "fusion.b"})
+        monkeypatch.setattr(training, "featurize_graph", lambda *a, **k: pytest.fail("featurized"))
+        with pytest.raises(ShapeError, match="fusion.b"):
+            train(graphs[:1], graphs[1:], TrainConfig(epochs=1), model_cfg=TINY, init=partial)
 
     def test_nonfinite_gradient_named_and_not_applied(self, monkeypatch):
         graphs = tiny_dataset(2, seed=4)
