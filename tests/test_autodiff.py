@@ -1,3 +1,4 @@
+import warnings
 import zlib
 
 import numpy as np
@@ -8,6 +9,7 @@ from keynodes.autodiff import (
     CHECKPOINT_MAGIC,
     ParamStore,
     Tape,
+    _scatter,
     first_nonfinite,
     grad_check,
     load_checkpoint,
@@ -116,6 +118,25 @@ class TestBackward:
         (ga1, gb1), (ga2, gb2) = run(), run()
         assert np.array_equal(ga1, ga2) and np.array_equal(gb1, gb2)
 
+    def test_leaf_gradients_never_share_memory(self):
+        tape = Tape()
+        a = tape.leaf(np.ones((3, 2)))
+        b = tape.leaf(np.full((3, 2), 2.0))
+        tape.backward(tape.record("sum", [tape.record("add", [a, b])]))
+        ga, gb = tape.nodes[a].grad, tape.nodes[b].grad
+        assert np.array_equal(ga, np.ones((3, 2))) and np.array_equal(gb, np.ones((3, 2)))
+        assert not np.shares_memory(ga, gb)
+
+    def test_grad_stays_none_where_none_flows(self):
+        tape = Tape()
+        x = tape.leaf(np.ones((2, 2)))
+        unused = tape.leaf(np.ones((2, 2)))
+        y = tape.record("exp", [unused])
+        loss = tape.record("sum", [x])
+        tape.backward(loss)
+        assert tape.nodes[unused].grad is None and tape.nodes[y].grad is None
+        assert np.array_equal(tape.nodes[x].grad, np.ones((2, 2)))
+
     def test_five_op_composite_matches_fd(self):
         rng = np.random.default_rng(9)
         params = ParamStore(
@@ -219,6 +240,36 @@ ALL_OPS = [
     "exp", "log", "row_softmax", "segment_softmax", "segment_sum", "layer_norm",
     "mean_rows", "sum", "scalar_mul", "gather_rows", "clamp_min", "transpose",
 ]
+
+
+class TestScatter:
+    """_scatter equals the 2-D ufunc.at it replaces, bit for bit."""
+
+    @pytest.mark.parametrize("cols", [1, 64])
+    @pytest.mark.parametrize("ufunc, fill", [(np.add, 0.0), (np.maximum, -np.inf)])
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_matches_2d_at(self, cols, ufunc, fill, nan):
+        rng = np.random.default_rng(cols)
+        seg = np.array([4, 0, 4, 2, 0, 0, 4, 2, 4], dtype=np.int64)  # unsorted, repeated
+        x = rng.normal(size=(seg.size, cols))
+        if nan:
+            x[[1, 6], 0] = np.nan
+        want = np.full((6, cols), fill)  # segments 1, 3 and 5 are empty
+        ufunc.at(want, seg, x)
+        got = np.full((6, cols), fill)
+        with np.errstate(invalid="ignore"):  # the 1-D maximum flags NaN
+            _scatter(ufunc, got, seg, x)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got[[1, 3, 5]], np.full((3, cols), fill))
+
+    def test_segment_softmax_nan_input_warns_nothing(self):
+        tape = Tape()
+        x = tape.leaf(np.array([[np.nan, 1.0], [0.5, 2.0], [1.5, -1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = tape.record("segment_softmax", [x], segments=np.array([0, 0, 1]), num_segments=3)
+        assert np.isnan(tape.value(y)[:2, 0]).all()
+        assert first_nonfinite(tape) == (0, "leaf")
 
 
 class TestEveryOpAgainstFiniteDifferences:

@@ -16,7 +16,7 @@ from keynodes.cli import main
 from keynodes.epidemic import REPORT_HEADER, compare_methods
 from keynodes.features import STRUCT_DIM, USER_DIM, WalkConfig, featurize_graph
 from keynodes.graphs import save_cascade, synth_cascade
-from keynodes.model import ModelConfig, init_params
+from keynodes.model import ABLATIONS, ModelConfig, init_params, param_shapes
 from keynodes.seeding import derived_seed
 from keynodes.training import score_graph
 
@@ -441,39 +441,53 @@ class TestCompare:
         assert calls == list(range(len(manifest["splits"]["test"])))
 
     def test_inference_ablations_bitwise(self, tmp_path, monkeypatch):
-        """mmen-no-user is the full forward's s_struct and mmen-no-fusion is
-        0.5 s_user + 0.5 s_struct, bit for bit, on a 400-node cascade."""
+        """Each mmen-<a> that compare derives from the full forward equals a
+        forward of the checkpoint minus the <a> tensors, bit for bit, on a
+        400-node cascade: for a full checkpoint and a no-user one."""
         data = tmp_path / "ds"
         g = synth_cascade(400, 0.1, 0.5, 3)
         save_cascade(g, data / "g000")
         splits = {"train": [], "val": [], "test": ["g000"]}
         (data / "manifest.json").write_text(json.dumps({"graphs": ["g000"], "splits": splits}))
         model_cfg, walk_cfg = ModelConfig(), WalkConfig()
-        params = init_params(model_cfg, 9)
-        ckpt = params.copy()
-        ckpt["meta"] = cli._pack_meta(model_cfg, walk_cfg, False, frozenset())
-        save_checkpoint(ckpt, tmp_path / "m.ckpt")
-
+        user, struct = featurize_graph(g, walk_cfg, 4, 0)
         seen = {}
 
         def capture(graphs, methods, cfg, fraction, scores=None, **kwargs):
             seen.update(scores)
             return compare_methods(graphs, methods, cfg, fraction, scores=scores, **kwargs)
 
+        forwards = []
+
+        def counting(*args, **kwargs):
+            forwards.append(1)
+            return score_graph(*args, **kwargs)
+
         monkeypatch.setattr(cli, "compare_methods", capture)
-        rc = main(
-            [
-                "compare", "--data", str(data), "--checkpoint", str(tmp_path / "m.ckpt"),
-                "--out", str(tmp_path / "r.csv"), "--methods", "mmen", "--runs", "1",
-                "--ablate", "no-user", "--ablate", "no-fusion", "--seed", "4",
-            ]
-        )
-        assert rc == 0
-        user, struct = featurize_graph(g, walk_cfg, 4, 0)
-        full, s_user, s_struct, _ = score_graph(g, params, model_cfg, user.values, struct.values)
-        assert np.array_equal(seen["mmen"][0], full)
-        assert np.array_equal(seen["mmen-no-user"][0], s_struct)
-        assert np.array_equal(seen["mmen-no-fusion"][0], 0.5 * s_user + 0.5 * s_struct)
+        monkeypatch.setattr(cli, "score_graph", counting)
+        for base in (frozenset(), frozenset({"no-user"})):
+            params = init_params(model_cfg, 9, base)
+            ckpt = params.copy()
+            ckpt["meta"] = cli._pack_meta(model_cfg, walk_cfg, False, base)
+            save_checkpoint(ckpt, tmp_path / "m.ckpt")
+            seen.clear()
+            forwards.clear()
+            rc = main(
+                [
+                    "compare", "--data", str(data), "--checkpoint", str(tmp_path / "m.ckpt"),
+                    "--out", str(tmp_path / "r.csv"), "--methods", "mmen", "--runs", "1",
+                    "--ablate", "all", "--seed", "4",
+                ]
+            )
+            assert rc == 0
+            assert len(forwards) == 2  # the full model and mmen-no-memory
+            full = score_graph(g, params, model_cfg, user.values, struct.values)[0]
+            assert np.array_equal(seen["mmen"][0], full)
+            for a in ABLATIONS:
+                keep = param_shapes(model_cfg, base | {a})
+                reduced = ParamStore({k: v for k, v in params.items() if k in keep})
+                want = score_graph(g, reduced, model_cfg, user.values, struct.values)[0]
+                assert np.array_equal(seen[f"mmen-{a}"][0], want), (sorted(base), a)
 
     def test_variant_rows_follow_mmen(self, dataset, trained, tmp_path):
         out = tmp_path / "r.csv"

@@ -4,9 +4,10 @@ from conftest import path_graph, random_digraph
 
 from keynodes.autodiff import ParamStore, Tape
 from keynodes.errors import DataError, NumericError, ShapeError
+from keynodes.features import WalkConfig
 from keynodes.graphs import out_neighborhood, synth_cascade
 from keynodes import training
-from keynodes.model import ModelConfig, collect_grads, init_params
+from keynodes.model import ModelConfig, bind_params, collect_grads, init_params
 from keynodes.training import (
     AdamState,
     TrainConfig,
@@ -237,6 +238,25 @@ class TestTrain:
         with pytest.raises(NumericError, match=r"'struct\.gat1\.W'.*epoch 1"):
             train(graphs[:1], graphs[1:], cfg, model_cfg=TINY)
         assert steps == []
+
+    def test_batch_gradient_is_sum_of_per_graph_gradients(self, monkeypatch):
+        graphs = tiny_dataset(3, seed=7)
+        cfg = TrainConfig(epochs=1, batch_size=2, rng_seed=0)
+        steps = []
+        monkeypatch.setattr(
+            training, "adam_step", lambda p, grads, s, lr: steps.append({k: v.copy() for k, v in grads.items()})
+        )
+        train(graphs[:2], graphs[2:], cfg, model_cfg=TINY)
+        params = init_params(TINY, 0)
+        per_graph = []
+        for bundle in training.prepare_graphs(graphs[:2], cfg, WalkConfig()):
+            tape = Tape()
+            binding = bind_params(tape, params)
+            tape.backward(training._graph_loss(tape, bundle, params, binding, TINY, cfg, False))
+            per_graph.append({k: v.copy() for k, v in collect_grads(tape, binding).items()})
+        assert len(steps) == 1 and set(steps[0]) == set(params.names())
+        for name, g in steps[0].items():
+            assert np.array_equal(g, per_graph[0][name] + per_graph[1][name]), name
 
     def test_needs_graphs(self):
         with pytest.raises(DataError):
