@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError
-from .graphs import CascadeGraph, SeedSet, reachable_within
+from .graphs import CascadeGraph, SeedSet, cover_pairs
 
 
 def ranked_order(scores) -> np.ndarray:
@@ -47,7 +47,7 @@ def kshell(g: CascadeGraph) -> RankedScores:
     """Undirected core number by bucket-queue peeling (Batagelj &
     Zaversnik 2003), O(N + E); score is the shell index."""
     adj = [a.tolist() for a in g.und_adj]
-    deg = [len(a) for a in adj]
+    deg = g.undirected().out_degrees().tolist()
     # vert lists the nodes by current degree; start[d] is the index in vert
     # of the first node of degree d, pos[v] the index of v
     vert = sorted(range(g.n), key=deg.__getitem__)
@@ -71,7 +71,7 @@ def kshell(g: CascadeGraph) -> RankedScores:
 def h_index(g: CascadeGraph) -> RankedScores:
     """Largest h such that the node has >= h neighbors of degree >= h."""
     und = g.und_adj
-    deg = np.array([len(a) for a in und])
+    deg = g.undirected().out_degrees()
     scores = np.zeros(g.n, dtype=np.float64)
     for v in range(g.n):
         nbr_deg = np.sort(deg[und[v]])[::-1]
@@ -119,7 +119,8 @@ def greedy_dcover(g: CascadeGraph, budget: int, d: int = 1):
     if budget < 1:
         raise DataError(f"budget must be >= 1, got {budget}")
     budget = min(budget, g.n)
-    covers = [np.fromiter(sorted(reachable_within(g, u, d)), dtype=np.int64) for u in range(g.n)]
+    us, vs = cover_pairs(g, d)
+    covers = np.split(vs, np.cumsum(np.bincount(us, minlength=g.n))[:-1])
     covered = np.zeros(g.n, dtype=bool)
     uncovered = g.n
     picked: list[int] = []

@@ -19,7 +19,7 @@ from .autodiff import ParamStore, load_checkpoint, save_checkpoint
 from .epidemic import SirConfig, compare_methods
 from .errors import DataError, NumericError
 from .features import WalkConfig, dump_features_csv, featurize_graph
-from .graphs import load_cascade, save_cascade, synth_cascade
+from .graphs import load_cascade, save_cascade, synth_cascade, text_lines
 from .model import ABLATIONS, ModelConfig, param_shapes, validate_params
 from .seeding import derived_seed
 from .training import TrainConfig, score_graph, select_seeds, train
@@ -149,7 +149,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         raise DataError(f"{path}: config file not found")
     sub = parser.verbs[args.command]
     overrides = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in text_lines(path):
         s = line.strip()
         if not s or s.startswith("#"):
             continue
@@ -249,11 +249,19 @@ def _load_manifest(data_dir) -> dict:
     path = Path(data_dir) / "manifest.json"
     if not path.is_file():
         raise DataError(f"{path}: missing manifest.json")
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{path}: not a UTF-8 JSON manifest ({exc})") from None
     for key in ("graphs", "splits"):
-        if key not in manifest:
+        if not isinstance(manifest, dict) or key not in manifest:
             raise DataError(f"{path}: manifest missing {key!r}")
+    splits = manifest["splits"]
+    if not isinstance(splits, dict):
+        raise DataError(f"{path}: 'splits' must map split names to lists of cascade names")
+    for split, names in splits.items():
+        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+            raise DataError(f"{path}: split {split!r} must be a list of cascade names")
     return manifest
 
 

@@ -45,7 +45,7 @@ class SirConfig:
 def default_mu(g: CascadeGraph) -> float:
     """1.5x the heterogeneous mean-field epidemic threshold <k>/(<k^2>-<k>),
     capped at 1; keeps spread off the floor on heavy-tailed graphs."""
-    deg = np.array([len(a) for a in g.und_adj], dtype=np.float64)
+    deg = g.undirected().out_degrees().astype(np.float64)
     k1 = deg.mean()
     k2 = (deg**2).mean()
     if k2 - k1 <= 0:
@@ -160,7 +160,10 @@ def _select_for_method(method, g, gi, k, fraction, d_cover, cfg, scores):
     if method in scores:
         return select_seeds(scores[method][gi], fraction).members
     if method in _RANKERS:
-        return tuple(int(v) for v in getattr(baselines, _RANKERS[method])(g).top(k))
+        # LeaderRank's score flows fan -> leader, against an edge (src, dst)
+        # that carries influence src -> dst
+        view = g.reversed() if method == "leaderrank" else g
+        return tuple(int(v) for v in getattr(baselines, _RANKERS[method])(view).top(k))
     if method == "greedy":
         return baselines.greedy_dcover(g, k, d_cover).members
     if method == "random":

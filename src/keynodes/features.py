@@ -95,14 +95,14 @@ def raw_walk_statistics(
     out-degree of visited nodes, return frequency, distinct-visit ratio,
     fraction of walks that ran the full length without getting stuck, and
     mean depth reached.  All N * walks_per_node walks advance together over
-    CSR arrays, drawing from one generator seeded with ``cfg.rng_seed``, so
-    the draws depend only on (graph, rng_seed), not on edge order.
+    the graph's CSR (``CascadeGraph.csr``), drawing from one generator seeded
+    with ``cfg.rng_seed``, so the draws depend only on (graph, rng_seed), not
+    on edge order.
     """
     gv = g.undirected() if undirected else g
     n, walks, steps = g.n, cfg.walks_per_node, cfg.walk_len
-    indices = gv.edges[np.lexsort(gv.edges.T[::-1]), 1]  # out-neighbours by (src, dst)
-    outdeg = gv.out_degrees()
-    indptr = np.concatenate(([0], np.cumsum(outdeg)))
+    indptr, indices = gv.csr
+    outdeg = np.diff(indptr)
     start = np.repeat(np.arange(n), walks)
     cur, depth, depth_sum = start, 0, 0
     stuck = np.zeros(start.size, dtype=bool)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,11 @@ _USERS_HEADER = (
     "friends",
     "statuses",
     "verified",
+    "geo_enabled",
+)
+# the UserRecord field behind each users.tsv column after "id"
+_PROFILE_FIELDS = (
+    "name", "description", "followers_count", "friends_count", "statuses_count", "verified",
     "geo_enabled",
 )
 
@@ -57,25 +62,14 @@ class UserRecord:
     retweet_delay_s: float | None = None
 
     def has_profile(self) -> bool:
-        return any(
-            v is not None
-            for v in (
-                self.name,
-                self.description,
-                self.followers_count,
-                self.friends_count,
-                self.statuses_count,
-                self.verified,
-                self.geo_enabled,
-            )
-        )
+        return any(getattr(self, f) is not None for f in _PROFILE_FIELDS)
 
 
 class CascadeGraph:
     """Immutable directed graph of one cascade.
 
     Construction deduplicates edges and drops self-loops (adjacency is a
-    set).  All derived adjacency structures are built lazily and cached.
+    set).  Every derived structure is built on first use and cached.
     """
 
     def __init__(self, n, edges, delays=None, users=None, labels=None, source=None):
@@ -91,29 +85,36 @@ class CascadeGraph:
             raise DataError(f"source {source} out of range for n={n}")
         self.users = tuple(users) if users is not None else None
         self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
+        self._csr = None
         self._out = None
-        self._in = None
         self._und_graph = None
+        self._rev_graph = None
         self.source = int(source) if source is not None else self._find_source()
 
     # -- adjacency ---------------------------------------------------------
 
-    def _build_adj(self):
-        src, dst = self.edges[:, 0], self.edges[:, 1]
-        self._out = _sorted_lists(src, dst, self.n)
-        self._in = _sorted_lists(dst, src, self.n)
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Out-neighbours as CSR ``(indptr, indices)``: those of v are
+        ``indices[indptr[v]:indptr[v + 1]]``, ascending."""
+        if self._csr is None:
+            src, dst = self.edges[:, 0], self.edges[:, 1]
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=self.n))))
+            self._csr = indptr, dst[np.lexsort((dst, src))]
+        return self._csr
 
     @property
     def out_adj(self):
+        """Per node, the ascending array of its out-neighbours."""
         if self._out is None:
-            self._build_adj()
+            indptr, indices = self.csr
+            self._out = tuple(np.split(indices, indptr[1:-1]))
         return self._out
 
     @property
     def in_adj(self):
-        if self._in is None:
-            self._build_adj()
-        return self._in
+        """Per node, the ascending array of its in-neighbours."""
+        return self.reversed().out_adj
 
     @property
     def und_adj(self):
@@ -135,6 +136,15 @@ class CascadeGraph:
                 self.n, both, delays, users=self.users, labels=self.labels, source=self.source
             )
         return self._und_graph
+
+    def reversed(self) -> "CascadeGraph":
+        """Every edge turned around; keeps this graph's source."""
+        if self._rev_graph is None:
+            self._rev_graph = CascadeGraph(
+                self.n, self.edges[:, ::-1], self.delays,
+                users=self.users, labels=self.labels, source=self.source,
+            )
+        return self._rev_graph
 
     def _find_source(self) -> int:
         """The in-degree-0 node that reaches every node, else 0.  A node that
@@ -163,14 +173,9 @@ def _dedupe_edges(n, edges, delays):
     return edges[idx], delays[idx]
 
 
-def _sorted_lists(keys, vals, n):
-    """Per key 0..n-1, the ascending array of its vals."""
-    order = np.lexsort((vals, keys))
-    return tuple(np.split(vals[order], np.cumsum(np.bincount(keys, minlength=n))[:-1]))
-
-
-def _bfs(adj, start, max_depth=None):
-    """Hop distances from start over the given adjacency; dict node -> dist."""
+def _bfs(adj, start, max_depth=None, blocked=frozenset()):
+    """Hop distances from start over the given adjacency, never entering a
+    node in blocked; dict node -> dist."""
     dist = {start: 0}
     q = deque([start])
     while q:
@@ -179,7 +184,7 @@ def _bfs(adj, start, max_depth=None):
             continue
         for u in adj[v]:
             u = int(u)
-            if u not in dist:
+            if u not in dist and u not in blocked:
                 dist[u] = dist[v] + 1
                 q.append(u)
     return dist
@@ -220,32 +225,30 @@ def reachable_within(g: CascadeGraph, u: int, d: int) -> set[int]:
     return set(_bfs(g.out_adj, u, max_depth=d))
 
 
+def cover_pairs(g: CascadeGraph, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) index arrays with u covering v: directed path u -> v of
+    length <= d, plus every v covering itself.  u ascends; within one u the
+    v come in the order ``reachable_within`` yields them, which fixes the
+    order in which the coverage loss's backward sums each u's gradient."""
+    covers = [reachable_within(g, u, d) for u in range(g.n)]
+    us = np.repeat(np.arange(g.n), [len(c) for c in covers])
+    vs = np.fromiter((v for c in covers for v in c), dtype=np.int64, count=us.size)
+    return us, vs
+
+
 def largest_component_size(g: CascadeGraph, removed: set[int]) -> int:
     """Size of the largest weakly-connected component of g minus `removed`."""
     removed = set(int(v) for v in removed)
     for v in removed:
         _check_node(g, v)
-    alive = [v for v in range(g.n) if v not in removed]
-    if not alive:
-        return 0
     und = g.und_adj
     seen = set(removed)
     best = 0
-    for start in alive:
-        if start in seen:
-            continue
-        size = 0
-        q = deque([start])
-        seen.add(start)
-        while q:
-            v = q.popleft()
-            size += 1
-            for u in und[v]:
-                u = int(u)
-                if u not in seen:
-                    seen.add(u)
-                    q.append(u)
-        best = max(best, size)
+    for start in range(g.n):
+        if start not in seen:
+            component = _bfs(und, start, blocked=removed)
+            seen.update(component)
+            best = max(best, len(component))
     return best
 
 
@@ -255,6 +258,16 @@ def _check_node(g: CascadeGraph, v: int):
 
 
 # -- file formats -----------------------------------------------------------
+
+
+def text_lines(path):
+    """(line number, line) pairs of a UTF-8 text file, numbered from 1; a
+    file that is not UTF-8 is a DataError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def load_cascade(dir_path) -> CascadeGraph:
@@ -280,48 +293,41 @@ def load_cascade(dir_path) -> CascadeGraph:
 
     raw_edges: list[tuple[int, int]] = []
     raw_delays: list[float] = []
-    with open(epath, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            parts = s.split("\t")
-            if len(parts) != 3:
-                raise DataError(
-                    f"{epath}:{lineno}: expected 'src<TAB>dst<TAB>delay_s', got {line.rstrip()!r}"
-                )
-            try:
-                delay = float(parts[2])
-            except ValueError:
-                raise DataError(f"{epath}:{lineno}: bad delay {parts[2]!r}") from None
-            if not np.isfinite(delay) or delay < 0:
-                raise DataError(f"{epath}:{lineno}: delay must be finite and >= 0")
-            raw_edges.append((intern(parts[0]), intern(parts[1])))
-            raw_delays.append(delay)
+    for lineno, line in text_lines(epath):
+        s = line.strip()
+        if not s or s.startswith("#"):
+            continue
+        parts = s.split("\t")
+        if len(parts) != 3:
+            raise DataError(
+                f"{epath}:{lineno}: expected 'src<TAB>dst<TAB>delay_s', got {line.rstrip()!r}"
+            )
+        try:
+            delay = float(parts[2])
+        except ValueError:
+            raise DataError(f"{epath}:{lineno}: bad delay {parts[2]!r}") from None
+        if not np.isfinite(delay) or delay < 0:
+            raise DataError(f"{epath}:{lineno}: delay must be finite and >= 0")
+        raw_edges.append((intern(parts[0]), intern(parts[1])))
+        raw_delays.append(delay)
     if not raw_edges:
         raise DataError(f"{epath}: no edges")
 
     n = len(labels)
-    profiles: dict[int, UserRecord] = {}
-    upath = d / "users.tsv"
-    if upath.is_file():
-        profiles = _parse_users(upath, ids)
-
     edges, delays = _dedupe_edges(n, raw_edges, raw_delays)
     # a node's retweet delay is its earliest kept in-edge; the source has none
     first = np.full(n, np.inf)
     np.minimum.at(first, edges[:, 1], delays)
-    users = [
-        replace(
-            profiles.get(v, UserRecord()),
-            retweet_delay_s=float(first[v]) if np.isfinite(first[v]) else None,
-        )
-        for v in range(n)
-    ]
+    retweet_delay = [x if math.isfinite(x) else None for x in first.tolist()]
+    upath = d / "users.tsv"
+    profiles = _parse_users(upath, ids, retweet_delay) if upath.is_file() else {}
+    users = [profiles.get(v) or UserRecord(retweet_delay_s=x) for v, x in enumerate(retweet_delay)]
     return CascadeGraph(n, edges, delays, users=users, labels=labels)
 
 
-def _parse_users(upath: Path, ids: dict[str, int]) -> dict[int, UserRecord]:
+def _parse_users(upath: Path, ids: dict[str, int], retweet_delay: list) -> dict[int, UserRecord]:
+    """node -> UserRecord of its users.tsv row, with its retweet delay."""
+
     def opt_int(tok, lineno, col):
         if tok == "":
             return None
@@ -344,32 +350,33 @@ def _parse_users(upath: Path, ids: dict[str, int]) -> dict[int, UserRecord]:
         raise DataError(f"{upath}:{lineno}: bad boolean {tok!r} in {col}")
 
     profiles: dict[int, UserRecord] = {}
-    with open(upath, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if tuple(header.split("\t")) != _USERS_HEADER:
-            raise DataError(f"{upath}:1: bad header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.rstrip("\n").split("\t")
-            if len(cells) != len(_USERS_HEADER):
-                raise DataError(
-                    f"{upath}:{lineno}: expected {len(_USERS_HEADER)} columns, got {len(cells)}"
-                )
-            if cells[0] not in ids:
-                raise DataError(f"{upath}:{lineno}: user id {cells[0]!r} not in edge file")
-            v = ids[cells[0]]
-            if v in profiles:
-                raise DataError(f"{upath}:{lineno}: duplicate user row for id {cells[0]!r}")
-            profiles[v] = UserRecord(
-                name=cells[1] or None,
-                description=cells[2] or None,
-                followers_count=opt_int(cells[3], lineno, "followers"),
-                friends_count=opt_int(cells[4], lineno, "friends"),
-                statuses_count=opt_int(cells[5], lineno, "statuses"),
-                verified=opt_bool(cells[6], lineno, "verified"),
-                geo_enabled=opt_bool(cells[7], lineno, "geo_enabled"),
+    lines = text_lines(upath)
+    header = next(lines, (1, ""))[1].rstrip("\n")
+    if tuple(header.split("\t")) != _USERS_HEADER:
+        raise DataError(f"{upath}:1: bad header {header!r}")
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        cells = line.rstrip("\n").split("\t")
+        if len(cells) != len(_USERS_HEADER):
+            raise DataError(
+                f"{upath}:{lineno}: expected {len(_USERS_HEADER)} columns, got {len(cells)}"
             )
+        if cells[0] not in ids:
+            raise DataError(f"{upath}:{lineno}: user id {cells[0]!r} not in edge file")
+        v = ids[cells[0]]
+        if v in profiles:
+            raise DataError(f"{upath}:{lineno}: duplicate user row for id {cells[0]!r}")
+        profiles[v] = UserRecord(
+            name=cells[1] or None,
+            description=cells[2] or None,
+            followers_count=opt_int(cells[3], lineno, "followers"),
+            friends_count=opt_int(cells[4], lineno, "friends"),
+            statuses_count=opt_int(cells[5], lineno, "statuses"),
+            verified=opt_bool(cells[6], lineno, "verified"),
+            geo_enabled=opt_bool(cells[7], lineno, "geo_enabled"),
+            retweet_delay_s=retweet_delay[v],
+        )
     return profiles
 
 
@@ -399,21 +406,8 @@ def save_cascade(g: CascadeGraph, dir_path) -> None:
             u = g.users[v]
             if u is None or not u.has_profile():
                 continue
-            fh.write(
-                "\t".join(
-                    [
-                        g.labels[v],
-                        cell(u.name),
-                        cell(u.description),
-                        cell(u.followers_count),
-                        cell(u.friends_count),
-                        cell(u.statuses_count),
-                        cell(u.verified),
-                        cell(u.geo_enabled),
-                    ]
-                )
-                + "\n"
-            )
+            cells = [g.labels[v]] + [cell(getattr(u, f)) for f in _PROFILE_FIELDS]
+            fh.write("\t".join(cells) + "\n")
 
 
 # -- synthetic cascades ------------------------------------------------------

@@ -17,7 +17,7 @@ from .autodiff import ParamStore, Tape, first_nonfinite
 from .baselines import ranked_order
 from .errors import DataError, NumericError
 from .features import WalkConfig, featurize_graph
-from .graphs import CascadeGraph, SeedSet, reachable_within
+from .graphs import CascadeGraph, SeedSet, cover_pairs
 from .model import (
     ModelConfig,
     bind_params,
@@ -57,17 +57,6 @@ def select_seeds(scores: np.ndarray, fraction: float) -> SeedSet:
     k = math.ceil(fraction * scores.size)
     order = ranked_order(scores)
     return SeedSet(tuple(int(v) for v in order[:k]), fraction)
-
-
-def cover_pairs(g: CascadeGraph, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) index arrays with u covering v: directed path u -> v of
-    length <= d, plus every v covering itself."""
-    us, vs = [], []
-    for u in range(g.n):
-        for v in reachable_within(g, u, d):
-            us.append(u)
-            vs.append(v)
-    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
 
 
 def coverage_loss(tape: Tape, scores_id: int, g: CascadeGraph, lam: float, d: int, pairs=None) -> int:

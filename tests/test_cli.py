@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -544,6 +545,58 @@ class TestCompare:
         )
         assert rc == 0
         assert out.read_text().startswith(REPORT_HEADER)
+
+
+class TestHostileInputs:
+    """Each input a verb reads is a DataError naming the file, exit 2."""
+
+    @pytest.fixture
+    def data(self, dataset, tmp_path):
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        return copy
+
+    def compare(self, data, tmp_path, capsys):
+        argv = ["compare", "--data", str(data), "--out", str(tmp_path / "r.csv"),
+                "--methods", "degree", "--runs", "2"]
+        rc = main(argv)
+        return rc, capsys.readouterr().err
+
+    def test_non_utf8_edges_exit_2(self, data, tmp_path, capsys):
+        name = json.loads((data / "manifest.json").read_text())["splits"]["test"][0]
+        path = data / name / "edges.tsv"
+        path.write_bytes(path.read_bytes() + b"\xff\t1\t2.0\n")
+        rc, err = self.compare(data, tmp_path, capsys)
+        assert rc == 2 and str(path) in err and "UTF-8" in err
+
+    def test_non_utf8_users_exit_2(self, data, tmp_path, capsys):
+        name = json.loads((data / "manifest.json").read_text())["splits"]["test"][0]
+        path = data / name / "users.tsv"
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\xe9\n", 2))
+        rc, err = self.compare(data, tmp_path, capsys)
+        assert rc == 2 and str(path) in err and "UTF-8" in err
+
+    def test_non_utf8_config_exit_2(self, data, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_bytes(b"runs = 2\n# caf\xe9\n")
+        rc = main(["compare", "--data", str(data), "--out", str(tmp_path / "r.csv"),
+                   "--methods", "degree", "--config", str(cfgfile)])
+        assert rc == 2 and str(cfgfile) in capsys.readouterr().err
+
+    def test_invalid_manifest_json_exit_2(self, data, tmp_path, capsys):
+        (data / "manifest.json").write_text('{"graphs": ["g000"], "splits": ')
+        rc, err = self.compare(data, tmp_path, capsys)
+        assert rc == 2 and "manifest.json" in err
+
+    def test_splits_not_a_mapping_exit_2(self, data, tmp_path, capsys):
+        (data / "manifest.json").write_text('{"graphs": ["g000"], "splits": []}')
+        rc, err = self.compare(data, tmp_path, capsys)
+        assert rc == 2 and "manifest.json" in err and "'splits'" in err
+
+    def test_split_not_a_list_of_names_exit_2(self, data, tmp_path, capsys):
+        (data / "manifest.json").write_text('{"graphs": ["g000"], "splits": {"test": ["g000", 7]}}')
+        rc, err = self.compare(data, tmp_path, capsys)
+        assert rc == 2 and "manifest.json" in err and "'test'" in err
 
 
 class TestExitCodes:

@@ -183,3 +183,9 @@ class TestCompareMethods:
     def test_fraction_validated(self):
         with pytest.raises(DataError):
             compare_methods([path_graph(5)], ["degree"], SirConfig(mu=0.1), 0.0)
+
+    def test_leaderrank_picks_star_source(self):
+        # influence flows 0 -> leaves; only the source's removal leaves singletons
+        g = star_graph(20)
+        report = compare_methods([g], ["leaderrank"], SirConfig(mu=0.0, runs=1), 0.01)
+        assert report.rows[0].r == 1 / g.n

@@ -405,7 +405,9 @@ class TestConstruction:
             out[a].add(int(b))
             inn[b].add(int(a))
         und = [o | i for o, i in zip(out, inn)]
-        for adj, ref in ((g.out_adj, out), (g.in_adj, inn), (g.und_adj, und)):
+        indptr, indices = g.csr
+        csr_adj = np.split(indices, indptr[1:-1])
+        for adj, ref in ((g.out_adj, out), (g.in_adj, inn), (g.und_adj, und), (csr_adj, out)):
             assert len(adj) == g.n
             for arr, want in zip(adj, ref):
                 assert arr.dtype == np.int64

@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from keynodes import cli
 from keynodes.autodiff import Tape
 from keynodes.features import WalkConfig, featurize_graph
 from keynodes.graphs import synth_cascade
@@ -44,3 +45,29 @@ def test_default_train_step_records_every_traced_op():
     ops = [node.op for node in tape.nodes]
     assert sorted(set(load_tracer().OPS) - set(ops)) == []
     assert ops.count("concat") == 2  # fusion only: parameters are stored fused
+
+
+def test_tiny_pipeline_fires_every_wrapper(tmp_path):
+    """gen -> train -> compare -> score under the tracer, in process: every
+    wrapped function and tape op fires, so no refactor can leave the
+    benchmark's traced run with a metric that nothing feeds."""
+    tracer = load_tracer()
+    data, run = tmp_path / "data", tmp_path / "run"
+    verbs = [
+        ["gen", "--out", data, "--n-graphs", 7, "--nodes-min", 40, "--nodes-max", 40],
+        ["train", "--data", data, "--out", run, "--epochs", 1],
+        ["compare", "--data", data, "--checkpoint", run / "best.ckpt",
+         "--out", tmp_path / "report.csv",
+         "--methods", "mmen,degree,kshell,hindex,leaderrank,greedy,random", "--ablate", "all",
+         "--runs", 2],
+        ["score", "--checkpoint", run / "best.ckpt", "--cascade", data / "g006",
+         "--out", tmp_path / "scores.csv"],
+    ]
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        codes = [cli.main([str(a) for a in argv] + ["--seed", "7"]) for argv in verbs]
+    finally:
+        traced.uninstall()
+    assert codes == [0, 0, 0, 0]
+    assert tracer.missing_wrappers([("pipeline", traced.spans)]) == []
