@@ -66,11 +66,13 @@ def _segments(attrs, rows, op):
     return seg, num
 
 
-def _scatter(ufunc, out, seg, x):
-    """ufunc.at(out, seg, x) for a C-ordered (rows, C) `out`, run 3-4x faster as one
-    1-D ufunc.at on the flat index seg * C + col: same accumulation order, same bits."""
-    flat = seg[:, None] * out.shape[1] + np.arange(out.shape[1])
-    ufunc.at(out.reshape(-1), flat.ravel(), x.reshape(-1))
+def _scatter(ufunc, out, seg, x, flat=None):
+    """ufunc.at(out, seg, x) for a C-ordered (rows, C) `out`, run 3-4x faster as one 1-D
+    ufunc.at on the flat index seg * C + col, returned for reuse as `flat`: same bits."""
+    if flat is None:
+        flat = (seg[:, None] * out.shape[1] + np.arange(out.shape[1])).ravel()
+    ufunc.at(out.reshape(-1), flat, x.reshape(-1))
+    return flat
 
 
 class TensorNode:
@@ -85,22 +87,27 @@ class TensorNode:
 
 
 class Tape:
-    """Append-only computation record; acyclic because inputs precede nodes."""
+    """Append-only computation record; acyclic because inputs precede nodes.  With grad=False
+    it records nothing: leaf and record return the array itself, freed once the caller drops it."""
 
-    def __init__(self):
+    def __init__(self, grad: bool = True):
+        self.grad = grad
         self.nodes: list[TensorNode] = []
 
-    def leaf(self, value, name: str | None = None) -> int:
-        node = TensorNode("leaf", _as2d(value), (), {"name": name})
-        self.nodes.append(node)
+    def leaf(self, value, name: str | None = None):
+        if not self.grad:
+            return _as2d(value)
+        self.nodes.append(TensorNode("leaf", _as2d(value), (), {"name": name}))
         return len(self.nodes) - 1
 
-    def value(self, nid: int) -> np.ndarray:
-        return self.nodes[nid].value
+    def value(self, nid) -> np.ndarray:
+        return self.nodes[nid].value if self.grad else nid
 
-    def record(self, op: str, inputs, **attrs) -> int:
+    def record(self, op: str, inputs, **attrs):
         if op not in _FORWARD:
             raise ShapeError(f"unknown op {op!r}")
+        if not self.grad:
+            return _FORWARD[op](inputs, attrs)
         ids = tuple(int(i) for i in inputs)
         vals = [self.nodes[i].value for i in ids]
         value = _FORWARD[op](vals, attrs)
@@ -108,8 +115,9 @@ class Tape:
         return len(self.nodes) - 1
 
     def backward(self, loss_id: int) -> None:
-        """Reverse sweep from a scalar node.  A node the loss does not depend on keeps
-        .grad None; no .grad is zero-filled, written in place, or shared by two leaves."""
+        """Reverse sweep from a scalar node.  Only leaves keep .grad (None if the loss
+        does not depend on them): a non-leaf's is dropped once passed to its inputs.
+        No .grad is zero-filled, written in place, or shared by two leaves."""
         loss = self.nodes[loss_id]
         if loss.value.shape != (1, 1):
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.value.shape}")
@@ -126,6 +134,7 @@ class Tape:
                     continue
                 tgt = self.nodes[iid]
                 tgt.grad = g if tgt.grad is None else tgt.grad + g
+            node.grad = None
 
 
 def first_nonfinite(tape: Tape) -> tuple[int, str] | None:
@@ -195,10 +204,10 @@ def _fwd_segment_softmax(vals, attrs):
     seg, num = _segments(attrs, x.shape[0], "segment_softmax")
     mx = np.full((num, x.shape[1]), -np.inf)
     with np.errstate(invalid="ignore"):  # NaN input: first_nonfinite finds it
-        _scatter(np.maximum, mx, seg, x)
+        flat = _scatter(np.maximum, mx, seg, x)
     e = np.exp(x - mx[seg])
     z = np.zeros((num, x.shape[1]))
-    _scatter(np.add, z, seg, e)
+    _scatter(np.add, z, seg, e, flat)
     return e / z[seg]
 
 

@@ -317,6 +317,9 @@ def _load_model(path):
     ablate = frozenset(a for i, a in enumerate(ABLATIONS) if bits & (1 << i))
     weights = ParamStore({k: v for k, v in params.items() if k != "meta"})
     validate_params(weights, model_cfg, ablate)
+    bad = next((k for k, v in weights.items() if not np.isfinite(v).all()), None)
+    if bad is not None:
+        raise DataError(f"checkpoint tensor {bad!r} holds a non-finite value")
     return weights, model_cfg, walk_cfg, bool(undirected)
 
 

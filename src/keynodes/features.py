@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .graphs import CascadeGraph, bfs_distances
+from .graphs import CascadeGraph
 from .seeding import derived_seed
 
 USER_DIM = 9
@@ -50,7 +50,7 @@ def user_feature_matrix(g: CascadeGraph) -> FeatureMatrix:
     verified, geo_enabled, retweet delay seconds, hops from the source.
     Absent fields map to 0; an unreachable node has 0 hops.
     """
-    dist = bfs_distances(g, g.source)
+    dist = g.source_hops
     mat = np.zeros((g.n, USER_DIM), dtype=np.float64)
     for v in range(g.n):
         u = g.users[v] if g.users is not None else None

@@ -89,6 +89,7 @@ class CascadeGraph:
         self._out = None
         self._und_graph = None
         self._rev_graph = None
+        self._hops = None
         self.source = int(source) if source is not None else self._find_source()
 
     # -- adjacency ---------------------------------------------------------
@@ -146,12 +147,21 @@ class CascadeGraph:
             )
         return self._rev_graph
 
+    @property
+    def source_hops(self) -> np.ndarray:
+        """``bfs_distances`` from the source, kept from ``_find_source``'s walk."""
+        if self._hops is None:
+            self._hops = bfs_distances(self, self.source)
+        return self._hops
+
     def _find_source(self) -> int:
         """The in-degree-0 node that reaches every node, else 0.  A node that
         reaches every node leaves no other node without an in-edge, so only
         a sole in-degree-0 node can qualify and one BFS decides."""
         roots = np.flatnonzero(self.in_degrees() == 0)
-        if len(roots) == 1 and len(_bfs(self.out_adj, int(roots[0]))) == self.n:
+        dist = _bfs(self.out_adj, int(roots[0])) if len(roots) == 1 else {}
+        if len(dist) == self.n:
+            self._hops = np.fromiter((dist[v] for v in range(self.n)), np.int64, self.n)
             return int(roots[0])
         return 0
 

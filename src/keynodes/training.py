@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -155,12 +156,21 @@ def _graph_loss(tape, bundle, params, binding, model_cfg, cfg, undirected):
     return coverage_loss(tape, fwd.score, bundle.graph, cfg.lam, cfg.d_cover, pairs=bundle.pairs)
 
 
-def _check_finite(tape, loss_id, context):
+def _nonfinite_at(tape, run=None) -> str:
+    """Where a pass with a non-finite result first broke: a parameter by name, else the
+    op and tape node.  A no-grad tape keeps no nodes, so ``run`` replays it on a Tape()."""
+    if not tape.grad:
+        tape = Tape()
+        run(tape)
+    bad = first_nonfinite(tape)
+    name = tape.nodes[bad[0]].attrs.get("name")  # only bind_params' leaves have one
+    return f"parameter {name!r}" if name else f"op '{bad[1]}' (tape node {bad[0]})"
+
+
+def _check_finite(tape, loss_id, context, run=None):
     val = tape.value(loss_id).item()
     if not np.isfinite(val):
-        bad = first_nonfinite(tape)
-        where = f"op '{bad[1]}' (tape node {bad[0]})" if bad else "loss"
-        raise NumericError(f"non-finite value from {where} during {context}")
+        raise NumericError(f"non-finite value from {_nonfinite_at(tape, run)} during {context}")
     return val
 
 
@@ -230,10 +240,10 @@ def train(
 
         val_loss = 0.0
         for bundle in val_b:
-            tape = Tape()
-            binding = bind_params(tape, params)
-            loss_id = _graph_loss(tape, bundle, params, binding, model_cfg, cfg, undirected)
-            val_loss += _check_finite(tape, loss_id, f"epoch {epoch} validation")
+            run = partial(_graph_loss, bundle=bundle, params=params, binding=None,
+                          model_cfg=model_cfg, cfg=cfg, undirected=undirected)
+            tape = Tape(grad=False)
+            val_loss += _check_finite(tape, run(tape), f"epoch {epoch} validation", run)
         val_loss /= len(val_b)
 
         result.history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
@@ -264,13 +274,11 @@ def score_graph(
     Returns (scores, s_user, s_struct, weights) as plain arrays; s_user and
     weights are None when the store has no user view.
     """
-    tape = Tape()
-    fwd = mmen_forward(tape, g, user, struct, params, model_cfg, undirected=undirected)
-    scores = tape.value(fwd.score).ravel().copy()
-    if not np.isfinite(scores).all():
-        bad = first_nonfinite(tape)
-        raise NumericError(f"non-finite score from op '{bad[1]}' (tape node {bad[0]})")
-    s_user = tape.value(fwd.score_user).ravel().copy() if fwd.score_user is not None else None
-    s_struct = tape.value(fwd.score_struct).ravel().copy()
-    weights = tape.value(fwd.weights).ravel().copy() if fwd.weights is not None else None
-    return scores, s_user, s_struct, weights
+    run = partial(mmen_forward, g=g, user_feats=user, struct_feats=struct, params=params,
+                  cfg=model_cfg, undirected=undirected)
+    tape = Tape(grad=False)
+    fwd = run(tape)
+    if not np.isfinite(fwd.score).all():
+        raise NumericError(f"non-finite score from {_nonfinite_at(tape, run)}")
+    outs = (fwd.score, fwd.score_user, fwd.score_struct, fwd.weights)
+    return tuple(None if x is None else x.ravel().copy() for x in outs)

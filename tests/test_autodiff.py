@@ -6,6 +6,7 @@ import pytest
 from conftest import HOSTILE_CASES, hostile_checkpoint
 
 from keynodes.autodiff import (
+    _BACKWARD,
     CHECKPOINT_MAGIC,
     ParamStore,
     Tape,
@@ -16,6 +17,10 @@ from keynodes.autodiff import (
     save_checkpoint,
 )
 from keynodes.errors import DataError, ShapeError
+from keynodes.features import WalkConfig, featurize_graph
+from keynodes.graphs import synth_cascade
+from keynodes.model import ModelConfig, bind_params, init_params, mmen_forward
+from keynodes.training import coverage_loss
 
 
 class TestForward:
@@ -408,3 +413,67 @@ class TestDiagnostics:
         tape.record("exp", [x])
         nid, op = first_nonfinite(tape)
         assert op == "log" and nid == 1
+
+
+def _model_loss_tape(n=60, seed=3):
+    """A recording tape holding one graph's forward plus coverage loss."""
+    g = synth_cascade(n, 0.1, 0.3, seed)
+    user, struct = featurize_graph(g, WalkConfig(), 0, 0)
+    cfg = ModelConfig(hidden=16, heads=4, mem_groups=2, mem_slots=4)
+    params = init_params(cfg, 0)
+    tape = Tape()
+    binding = bind_params(tape, params)
+    fwd = mmen_forward(tape, g, user.values, struct.values, params, cfg, binding=binding)
+    return tape, coverage_loss(tape, fwd.score, g, 1.0, 1), (g, user, struct, params, cfg)
+
+
+def _kept_grad_sweep(tape, loss_id):
+    """Reference reverse sweep that keeps every node's gradient (no release):
+    node id -> gradient, for every node the loss depends on."""
+    grads = {loss_id: np.ones((1, 1))}
+    for nid in range(loss_id, -1, -1):
+        node = tape.nodes[nid]
+        if nid not in grads or node.op == "leaf":
+            continue
+        node.grad = grads[nid]
+        ins = [tape.nodes[i].value for i in node.inputs]
+        for iid, g in zip(node.inputs, _BACKWARD[node.op](node, ins)):
+            if g is not None:
+                grads[iid] = g if iid not in grads else grads[iid] + g
+    return grads
+
+
+class TestNoGrad:
+    def test_ops_return_arrays_and_record_nothing(self):
+        rng = np.random.default_rng(0)
+        a_val, b_val = rng.normal(size=(5, 3)), rng.normal(size=(3, 2))
+        results = []
+        for tape in (Tape(), Tape(grad=False)):
+            a, b = tape.leaf(a_val, name="a"), tape.leaf(b_val)
+            h = tape.record("sigmoid", [tape.record("matmul", [a, b])])
+            y = tape.record("segment_softmax", [h], segments=np.array([0, 0, 1, 2, 2]), num_segments=3)
+            results.append((tape, tape.value(y), tape.value(a)))
+        (rec, want, _), (nograd, got, a_arr) = results
+        assert nograd.nodes == [] and len(rec.nodes) == 5
+        assert isinstance(a_arr, np.ndarray) and np.array_equal(a_arr, a_val)
+        assert np.array_equal(got, want)
+
+    def test_model_forward_keeps_no_nodes(self):
+        _, _, (g, user, struct, params, cfg) = _model_loss_tape()
+        tape = Tape(grad=False)
+        fwd = mmen_forward(tape, g, user.values, struct.values, params, cfg)
+        assert tape.nodes == []
+        assert fwd.score.shape == (g.n, 1) and np.isfinite(fwd.score).all()
+
+
+class TestGradientRelease:
+    def test_only_leaves_keep_grad_and_leaf_grads_unchanged(self):
+        tape, loss, _ = _model_loss_tape()
+        kept = _kept_grad_sweep(tape, loss)
+        tape.backward(loss)
+        leaves = [i for i, node in enumerate(tape.nodes) if node.op == "leaf"]
+        assert all(node.grad is None for node in tape.nodes if node.op != "leaf")
+        assert any(tape.nodes[i].grad is not None for i in leaves)
+        for i in leaves:
+            want, got = kept.get(i), tape.nodes[i].grad
+            assert (got is None) if want is None else np.array_equal(got, want), i

@@ -394,7 +394,7 @@ class TestScore:
         assert rc == 2
         assert "tensor 'user.proj.W' has shape" in capsys.readouterr().err
 
-    def test_nan_checkpoint_exit_3(self, dataset, trained, tmp_path):
+    def test_nan_checkpoint_exit_2(self, dataset, trained, tmp_path, capsys):
         params = load_checkpoint(trained / "best.ckpt")
         params["struct.proj.W"] = np.full(params["struct.proj.W"].shape, np.nan)
         bad = tmp_path / "nan.ckpt"
@@ -405,7 +405,24 @@ class TestScore:
                 "--cascade", str(dataset / "g000"), "--out", str(tmp_path / "s.csv"),
             ]
         )
-        assert rc == 3
+        assert rc == 2
+        assert "tensor 'struct.proj.W' holds a non-finite value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["score", "compare"])
+    @pytest.mark.parametrize("name,value", [("struct.score.b", np.inf), ("struct.gat0.W", np.nan)])
+    def test_nonfinite_tensor_rejected_before_scoring(
+        self, dataset, trained, tmp_path, capsys, verb, name, value
+    ):
+        params = load_checkpoint(trained / "best.ckpt")
+        params[name][0, 0] = value  # one entry: an inf bias used to score and exit 0
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(params, bad)
+        where = ["--cascade", str(dataset / "g000")] if verb == "score" else ["--data", str(dataset)]
+        out = tmp_path / "out.csv"
+        rc = main([verb, "--checkpoint", str(bad), *where, "--out", str(out)])
+        assert rc == 2
+        assert f"tensor {name!r} holds a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompare:

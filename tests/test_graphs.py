@@ -440,3 +440,19 @@ class TestConstruction:
         starts.clear()
         g = CascadeGraph(5, [(3, 0), (3, 1), (1, 2), (2, 4), (0, 4)])
         assert g.source == 3 and starts == [3]
+
+    @pytest.mark.parametrize("source", [None, 3])
+    def test_user_view_reuses_source_walk(self, monkeypatch, source):
+        """The hop column reads the walk _find_source made; a graph given its
+        source walks once, when the hops are first read."""
+        from keynodes.features import user_feature_matrix
+
+        starts = []
+        bfs = graphs._bfs
+        monkeypatch.setattr(graphs, "_bfs", lambda adj, v, *a: starts.append(v) or bfs(adj, v, *a))
+        g = CascadeGraph(6, [(3, 0), (3, 1), (1, 2), (2, 4), (0, 4), (4, 5)], source=source)
+        hops = user_feature_matrix(g).values[:, 8]
+        user_feature_matrix(g)
+        assert starts == [3]
+        assert np.array_equal(hops, [1, 1, 2, 0, 2, 3])
+        assert np.array_equal(g.source_hops, bfs_distances(g, 3))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import path_graph, random_digraph
@@ -7,12 +9,21 @@ from keynodes.errors import DataError, NumericError, ShapeError
 from keynodes.features import WalkConfig
 from keynodes.graphs import out_neighborhood, synth_cascade
 from keynodes import training
-from keynodes.model import ModelConfig, bind_params, collect_grads, init_params
+from keynodes.features import featurize_graph
+from keynodes.model import (
+    ModelConfig,
+    bind_params,
+    collect_grads,
+    init_params,
+    mmen_forward,
+    param_shapes,
+)
 from keynodes.training import (
     AdamState,
     TrainConfig,
     adam_step,
     coverage_loss,
+    score_graph,
     select_seeds,
     train,
 )
@@ -207,13 +218,30 @@ class TestTrain:
         last = result.history[-1]["train_loss"]
         assert last < 0.8 * first
 
-    def test_nan_abort_names_op(self):
+    def test_nan_abort_names_parameter(self):
         graphs = tiny_dataset(2, seed=4)
         cfg = TrainConfig(epochs=2, rng_seed=0)
         bad = init_params(TINY, rng_seed=0)
         bad["struct.proj.W"] = np.full_like(bad["struct.proj.W"], np.nan)
-        with pytest.raises(NumericError, match="op"):
+        with pytest.raises(NumericError, match=r"from parameter 'struct\.proj\.W' during epoch 1 training"):
             train(graphs[:1], graphs[1:], cfg, model_cfg=TINY, init=bad)
+
+    @pytest.mark.parametrize("n_train,context", [(2, "epoch 1 training"), (1, "epoch 1 validation")])
+    def test_parameter_driven_to_inf_mid_training_is_named(self, monkeypatch, n_train, context):
+        """After the first Adam step one weight becomes inf: the next loss, a
+        training step or the no-grad validation pass, names that parameter."""
+        graphs = tiny_dataset(n_train + 1, seed=4)
+        cfg = TrainConfig(epochs=2, batch_size=1, rng_seed=0)
+        step = training.adam_step
+
+        def blow_up(params, grads, state, lr):
+            step(params, grads, state, lr)
+            params["struct.gat0.W"] = np.where(np.eye(*params["struct.gat0.W"].shape) > 0, np.inf, 0.0)
+
+        monkeypatch.setattr(training, "adam_step", blow_up)
+        want = rf"non-finite value from parameter 'struct\.gat0\.W' during {context}$"
+        with pytest.raises(NumericError, match=want), np.errstate(invalid="ignore", over="ignore"):
+            train(graphs[:n_train], graphs[n_train:], cfg, model_cfg=TINY)
 
     def test_init_missing_tensor_rejected_before_training(self, monkeypatch):
         graphs = tiny_dataset(2, seed=4)
@@ -284,3 +312,69 @@ class TestTrain:
         best = min(result.history, key=lambda r: r["val_loss"])
         assert result.best_val_loss == best["val_loss"]
         assert result.best_epoch == best["epoch"]
+
+
+def _store(cfg, ablate=frozenset()):
+    keep = param_shapes(cfg, ablate)
+    return ParamStore({k: v for k, v in init_params(cfg, 0).items() if k in keep})
+
+
+class TestScoreGraph:
+    @pytest.mark.parametrize("ablate", [frozenset(), frozenset({"no-memory"})])
+    def test_no_grad_bitwise_equal_to_recording_forward(self, ablate):
+        g = synth_cascade(200, 0.1, 0.3, 5)
+        user, struct = featurize_graph(g, WalkConfig(), 0, 0)
+        cfg = ModelConfig()
+        params = _store(cfg, ablate)
+        tape = Tape()
+        fwd = mmen_forward(tape, g, user.values, struct.values, params, cfg)
+        want = [tape.value(i).ravel() for i in (fwd.score, fwd.score_user, fwd.score_struct, fwd.weights)]
+        got = score_graph(g, params, cfg, user.values, struct.values)
+        assert len(got) == 4
+        for w, x in zip(want, got):
+            assert x.dtype == w.dtype and np.array_equal(x, w)
+
+    def test_peak_memory_under_a_third_of_recording_forward(self):
+        g = synth_cascade(2000, 0.1, 0.3, 7)
+        user, struct = featurize_graph(g, WalkConfig(), 0, 0)
+        cfg, params = ModelConfig(), init_params(ModelConfig(), 0)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        recording = peak(lambda: mmen_forward(Tape(), g, user.values, struct.values, params, cfg))
+        no_grad = peak(lambda: score_graph(g, params, cfg, user.values, struct.values))
+        assert no_grad < recording / 3, (no_grad, recording)
+
+    @pytest.mark.parametrize(
+        "view,ablate,node",
+        [
+            ("struct", frozenset(), 30),
+            ("struct", frozenset({"no-memory"}), 22),
+            ("user", frozenset(), 88),
+            ("user", frozenset({"no-memory"}), 62),
+        ],
+    )
+    def test_nan_feature_keeps_op_message(self, view, ablate, node):
+        """The no-grad pass replays on a recording tape to find the first
+        non-finite node: the feature leaf, numbered as a recording forward numbers it."""
+        g = synth_cascade(60, 0.1, 0.3, 3)
+        user, struct = featurize_graph(g, WalkConfig(), 0, 0)
+        feats = {"user": user.values.copy(), "struct": struct.values.copy()}
+        feats[view][5, 2] = np.nan
+        with pytest.raises(NumericError) as err:
+            score_graph(g, _store(TINY, ablate), TINY, feats["user"], feats["struct"])
+        assert str(err.value) == f"non-finite score from op 'leaf' (tape node {node})"
+
+    def test_nan_parameter_named(self):
+        g = synth_cascade(60, 0.1, 0.3, 3)
+        user, struct = featurize_graph(g, WalkConfig(), 0, 0)
+        params = init_params(TINY, 0)
+        params["user.gat1.a_dst"] = np.full_like(params["user.gat1.a_dst"], np.nan)
+        with pytest.raises(NumericError, match=r"^non-finite score from parameter 'user\.gat1\.a_dst'$"):
+            score_graph(g, params, TINY, user.values, struct.values)
