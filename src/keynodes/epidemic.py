@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from .training import select_seeds
 BUILTIN_METHODS = ("degree", "kshell", "hindex", "leaderrank", "greedy", "random")
 
 REPORT_HEADER = "graph,method,st_mean,st_stderr,r,mu,runs,fraction"
+
+# (run, node) cells one `sir_run` call of `infection_rate` holds at most
+CELLS = 1 << 21
 
 # method -> the ``baselines`` function whose ranking it takes the top k of;
 # looked up on the module at call time, so a wrapped function is the one called
@@ -53,51 +57,76 @@ def default_mu(g: CascadeGraph) -> float:
     return float(min(1.0, 1.5 * k1 / (k2 - k1)))
 
 
-def sir_run(g: CascadeGraph, seeds, mu: float, rng: np.random.Generator) -> int:
-    """One stochastic outbreak; returns the count of ever-infected nodes.
-
-    Recovery is certain after one step, so at termination the recovered set
-    is exactly the ever-infected set.
-    """
+def sir_run(g: CascadeGraph, seeds, mu: float, rng, counts=None) -> int:
+    """Outbreaks from one seed set, one per generator in `rng` (a Generator or
+    a sequence of them); returns the ever-infected count summed over the runs
+    and fills `counts`, if given, with each run's count.  The runs step in
+    lockstep on flat ``run * N + node`` keys, each drawing from its own
+    generator what it would draw alone.  Recovery is certain after one step,
+    so at termination the recovered set is the ever-infected set."""
+    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    if not rngs:
+        raise DataError("sir_run needs at least one generator")
+    if not (math.isfinite(mu) and 0.0 <= mu <= 1.0):
+        raise DataError(f"mu must be in [0, 1], got {mu}")
     seeds = np.asarray(sorted(set(int(v) for v in seeds)), dtype=np.int64)
     if seeds.size == 0:
         raise DataError("sir_run needs a non-empty seed set")
     if seeds.min() < 0 or seeds.max() >= g.n:
         raise DataError("seed out of range")
-    und = g.und_adj
-    susceptible = np.ones(g.n, dtype=bool)
-    susceptible[seeds] = False
-    infected = seeds
-    total = seeds.size
-    while infected.size:
-        contacts = np.concatenate([und[v] for v in infected])
-        contacts = contacts[susceptible[contacts]]
-        if contacts.size == 0 or mu == 0.0:
+    n, runs = g.n, len(rngs)
+    indptr, indices = g.undirected().csr
+    degree = np.diff(indptr)
+    # infection chance of a susceptible node by its count of infected contacts
+    chance = 1.0 - (1.0 - mu) ** np.arange(degree.max() + 1)
+    susceptible = np.ones(runs * n, dtype=bool)
+    infected = (np.arange(runs)[:, None] * n + seeds).ravel()
+    susceptible[infected] = False
+    while infected.size and mu > 0.0:
+        node = infected % n
+        deg = degree[node]
+        ends = np.cumsum(deg)
+        # each contact's position in `indices`: its row start plus its offset in the row
+        pos = np.arange(ends[-1]) + np.repeat(indptr[node] - ends + deg, deg)
+        keys = np.repeat(infected - node, deg) + indices[pos]
+        keys = keys[susceptible[keys]]
+        if keys.size == 0:
             break
-        counts = np.bincount(contacts, minlength=g.n)
-        candidates = np.nonzero(counts)[0]
-        if mu == 1.0:
-            fresh = candidates
-        else:
-            p = 1.0 - (1.0 - mu) ** counts[candidates]
-            fresh = candidates[rng.random(candidates.size) < p]
-        susceptible[fresh] = False
-        total += fresh.size
-        infected = fresh
-    return int(total)
+        # sorted by run, then node: the order each run's draws take
+        candidates, exposures = np.unique(keys, return_counts=True)
+        if mu < 1.0:
+            sizes = np.bincount(candidates // n, minlength=runs).tolist()
+            draws = np.concatenate([rngs[r].random(k) for r, k in enumerate(sizes) if k])
+            candidates = candidates[draws < chance[exposures]]
+        susceptible[candidates] = False
+        infected = candidates
+    per_run = n - np.count_nonzero(susceptible.reshape(runs, n), axis=1)
+    if counts is not None:
+        counts[:] = per_run
+    return int(per_run.sum())
+
+
+@lru_cache(maxsize=2)
+def _run_seeds(rng_seed: int, start: int, stop: int) -> tuple[int, ...]:
+    """The seeds of runs start..stop-1; every method on a graph shares them."""
+    return tuple(derived_seed(rng_seed, r) for r in range(start, stop))
 
 
 def infection_rate(g: CascadeGraph, seeds, cfg: SirConfig) -> tuple[float, float]:
     """Monte-Carlo mean and standard error of the final infected fraction.
 
     Each run draws from its own (seed, run) stream, so the estimate is
-    independent of run order.
+    independent of run order.  Runs go to `sir_run` in blocks, each block's
+    generators made when it runs, so memory does not grow with `cfg.runs`.
     """
     mu = cfg.mu if cfg.mu is not None else default_mu(g)
     counts = np.empty(cfg.runs, dtype=np.int64)
-    for r in range(cfg.runs):
-        rng = np.random.default_rng(derived_seed(cfg.rng_seed, r))
-        counts[r] = sir_run(g, seeds, mu, rng)
+    # a run's generator takes about 1 KB, as much memory as 1024 cells
+    block = max(1, CELLS // max(g.n, 1024))
+    for start in range(0, cfg.runs, block):
+        stop = min(start + block, cfg.runs)
+        rngs = [np.random.default_rng(s) for s in _run_seeds(cfg.rng_seed, start, stop)]
+        sir_run(g, seeds, mu, rngs, counts[start:stop])
     # statistics over the integer counts first, so the degenerate cases
     # (mu 0 or 1: every run identical) come out exactly |seeds|/N and 0
     mean = counts.mean() / g.n

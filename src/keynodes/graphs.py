@@ -183,9 +183,8 @@ def _dedupe_edges(n, edges, delays):
     return edges[idx], delays[idx]
 
 
-def _bfs(adj, start, max_depth=None, blocked=frozenset()):
-    """Hop distances from start over the given adjacency, never entering a
-    node in blocked; dict node -> dist."""
+def _bfs(adj, start, max_depth=None):
+    """Hop distances from start over the given adjacency; dict node -> dist."""
     dist = {start: 0}
     q = deque([start])
     while q:
@@ -194,7 +193,7 @@ def _bfs(adj, start, max_depth=None, blocked=frozenset()):
             continue
         for u in adj[v]:
             u = int(u)
-            if u not in dist and u not in blocked:
+            if u not in dist:
                 dist[u] = dist[v] + 1
                 q.append(u)
     return dist
@@ -247,19 +246,25 @@ def cover_pairs(g: CascadeGraph, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def largest_component_size(g: CascadeGraph, removed: set[int]) -> int:
-    """Size of the largest weakly-connected component of g minus `removed`."""
-    removed = set(int(v) for v in removed)
+    """Size of the largest weakly-connected component of g minus `removed`.
+    Rounds hook each root to the smallest root across its kept edges, then
+    shortcut every node to its root (min-label propagation alone would take
+    O(N) rounds on a path with shuffled ids)."""
+    keep = np.ones(g.n, dtype=bool)
     for v in removed:
-        _check_node(g, v)
-    und = g.und_adj
-    seen = set(removed)
-    best = 0
-    for start in range(g.n):
-        if start not in seen:
-            component = _bfs(und, start, blocked=removed)
-            seen.update(component)
-            best = max(best, len(component))
-    return best
+        _check_node(g, int(v))
+        keep[int(v)] = False
+    src, dst = g.edges[keep[g.edges].all(axis=1)].T
+    parent = np.arange(g.n)
+    while True:
+        hooked = parent.copy()
+        np.minimum.at(hooked, parent[src], parent[dst])
+        np.minimum.at(hooked, parent[dst], parent[src])
+        if np.array_equal(hooked, parent):
+            return int(np.bincount(parent[keep], minlength=g.n).max())
+        parent = hooked
+        while not np.array_equal(parent, grand := parent[parent]):
+            parent = grand
 
 
 def _check_node(g: CascadeGraph, v: int):

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import path_graph, star_graph
 
+from keynodes import epidemic
 from keynodes.epidemic import (
     REPORT_HEADER,
     SirConfig,
@@ -13,6 +16,34 @@ from keynodes.epidemic import (
 )
 from keynodes.errors import DataError
 from keynodes.graphs import CascadeGraph, synth_cascade
+from keynodes.seeding import derived_seed
+
+
+def solo_run(g, seeds, mu, rng):
+    """Reference: one outbreak stepped alone, the per-run loop `sir_run`
+    replaced; it draws rng.random(k) for the k candidates of each step."""
+    seeds = np.asarray(sorted(set(int(v) for v in seeds)), dtype=np.int64)
+    und = g.und_adj
+    susceptible = np.ones(g.n, dtype=bool)
+    susceptible[seeds] = False
+    infected = seeds
+    total = seeds.size
+    while infected.size:
+        contacts = np.concatenate([und[v] for v in infected])
+        contacts = contacts[susceptible[contacts]]
+        if contacts.size == 0 or mu == 0.0:
+            break
+        counts = np.bincount(contacts, minlength=g.n)
+        candidates = np.nonzero(counts)[0]
+        if mu == 1.0:
+            fresh = candidates
+        else:
+            p = 1.0 - (1.0 - mu) ** counts[candidates]
+            fresh = candidates[rng.random(candidates.size) < p]
+        susceptible[fresh] = False
+        total += fresh.size
+        infected = fresh
+    return int(total)
 
 
 class TestSirRun:
@@ -51,6 +82,87 @@ class TestSirRun:
         expect = 1.0 - (1.0 - mu) ** 2
         band = 3.0 * hits.std(ddof=1) / np.sqrt(runs)
         assert abs(hits.mean() - expect) <= band
+
+
+def _forest():
+    # a cascade plus three isolated nodes (ids 300..302) that can be seeded
+    g = synth_cascade(300, 0.2, 0.0, 11)
+    return CascadeGraph(303, g.edges)
+
+
+class TestLockstep:
+    """All runs of one call step together but match solo runs bit for bit."""
+
+    SEED_FORMS = {
+        "set": {3, 17, 40},
+        "tuple_with_duplicates": (5, 5, 22, 5, 22),
+        "ndarray_with_zero_degree": np.array([301, 0, 302, 9]),
+        "only_zero_degree": [300],
+    }
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("form", sorted(SEED_FORMS))
+    def test_matches_solo_runs(self, mu, form):
+        g, seeds = _forest(), self.SEED_FORMS[form]
+        solo = [np.random.default_rng(s) for s in range(12)]
+        together = [np.random.default_rng(s) for s in range(12)]
+        want = [solo_run(g, seeds, mu, rng) for rng in solo]
+        got = np.zeros(12, dtype=np.int64)
+        assert sir_run(g, seeds, mu, together, got) == sum(want)
+        assert got.tolist() == want
+        for a, b in zip(solo, together):
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_single_generator_is_one_run(self):
+        g = synth_cascade(200, 0.1, 0.0, 12)
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        counts = np.zeros(1, dtype=np.int64)
+        assert sir_run(g, [0, 1], 0.25, a, counts) == solo_run(g, [0, 1], 0.25, b) == counts[0]
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, 1.5, -0.5])
+    def test_mu_outside_unit_interval_rejected(self, mu):
+        # the parent returned 1, 50 or 1 here instead of failing
+        g = synth_cascade(50, 0.0, 0.0, 1)
+        with pytest.raises(DataError, match="mu must be in"):
+            sir_run(g, [7], mu, np.random.default_rng(0))
+
+    def test_no_generators_rejected(self):
+        with pytest.raises(DataError, match="generator"):
+            sir_run(path_graph(5), [0], 0.5, [])
+
+    def test_runs_span_blocks(self, monkeypatch):
+        g = synth_cascade(90, 0.1, 0.0, 13)
+        cfg = SirConfig(mu=0.35, runs=11, rng_seed=21)
+        counts = np.array([solo_run(g, [2, 8], cfg.mu, np.random.default_rng(derived_seed(21, r)))
+                           for r in range(cfg.runs)])
+        want = (float(counts.mean() / g.n), float(counts.std(ddof=1) / g.n / math.sqrt(cfg.runs)))
+        blocks = []
+        real = epidemic.sir_run
+        monkeypatch.setattr(epidemic, "CELLS", 4 * 1024 + 1)
+        monkeypatch.setattr(epidemic, "sir_run", lambda g, s, mu, rngs, c: blocks.append(len(rngs))
+                            or real(g, s, mu, rngs, c))
+        assert infection_rate(g, [2, 8], cfg) == want
+        assert blocks == [4, 4, 3]
+
+    def test_blocks_bound_generators_on_tiny_graphs(self, monkeypatch):
+        # CELLS // N alone would put all 2,050 generators (about 1 KB each)
+        # in one block on a 10-node graph
+        blocks = []
+        real = epidemic.sir_run
+        monkeypatch.setattr(epidemic, "sir_run", lambda g, s, mu, rngs, c: blocks.append(len(rngs))
+                            or real(g, s, mu, rngs, c))
+        infection_rate(path_graph(10), [0], SirConfig(mu=0.5, runs=2050))
+        assert blocks == [epidemic.CELLS // 1024, 2050 - epidemic.CELLS // 1024]
+
+    def test_run_seeds_derived_once_per_graph(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(epidemic, "derived_seed", lambda *p: calls.append(p) or derived_seed(*p))
+        epidemic._run_seeds.cache_clear()
+        graphs = [synth_cascade(40, 0.1, 0.0, s) for s in range(2)]
+        compare_methods(graphs, ["degree", "kshell", "hindex"], SirConfig(mu=0.2, runs=6), 0.1)
+        # per graph: its rng_seed, then the 6 run seeds shared by all methods
+        assert len(calls) == 2 * (1 + 6)
 
 
 class TestInfectionRate:

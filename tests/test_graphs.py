@@ -232,6 +232,20 @@ class TestComponents:
                 sizes[find(v)] = sizes.get(find(v), 0) + 1
             assert largest_component_size(g, removed) == max(sizes.values())
 
+    def test_long_shuffled_path_exact(self):
+        # a path whose ids are shuffled: min-label propagation would need
+        # O(N) rounds here; removing the node at position 30,000 leaves
+        # components of 30,000 and 69,999 nodes
+        n = 100_000
+        perm = np.random.default_rng(5).permutation(n)
+        g = CascadeGraph(n, np.column_stack([perm[:-1], perm[1:]]), source=int(perm[0]))
+        assert largest_component_size(g, set()) == n
+        assert largest_component_size(g, {int(perm[30_000])}) == 69_999
+
+    def test_removed_out_of_range(self):
+        with pytest.raises(DataError, match="node 6 out of range"):
+            largest_component_size(path_graph(6), {6})
+
 
 class TestSynth:
     def test_tree_shape(self):
