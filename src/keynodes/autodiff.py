@@ -66,13 +66,21 @@ def _segments(attrs, rows, op):
     return seg, num
 
 
-def _scatter(ufunc, out, seg, x, flat=None):
-    """ufunc.at(out, seg, x) for a C-ordered (rows, C) `out`, run 3-4x faster as one 1-D
-    ufunc.at on the flat index seg * C + col, returned for reuse as `flat`: same bits."""
-    if flat is None:
-        flat = (seg[:, None] * out.shape[1] + np.arange(out.shape[1])).ravel()
-    ufunc.at(out.reshape(-1), flat, x.reshape(-1))
-    return flat
+def _segment_rows_sum(x, seg, num):
+    """(num, C) sums of x's rows per segment.  bincount adds each entry in row order from
+    0.0, as np.add.at into zeros does, so the bits are the same."""
+    cols = x.shape[1]
+    flat = (seg[:, None] * cols + np.arange(cols)).ravel()
+    return np.bincount(flat, weights=x.ravel(), minlength=num * cols).reshape(num, cols)
+
+
+def _segment_rows_max(x, seg, num):
+    """(num, C) maxima of x's rows per segment, -inf where a segment is empty."""
+    cols = x.shape[1]
+    out = np.full(num * cols, -np.inf)
+    with np.errstate(invalid="ignore"):  # NaN input: first_nonfinite finds it
+        np.maximum.at(out, (seg[:, None] * cols + np.arange(cols)).ravel(), x.ravel())
+    return out.reshape(num, cols)
 
 
 class TensorNode:
@@ -202,21 +210,13 @@ def _fwd_row_softmax(vals, attrs):
 def _fwd_segment_softmax(vals, attrs):
     (x,) = vals
     seg, num = _segments(attrs, x.shape[0], "segment_softmax")
-    mx = np.full((num, x.shape[1]), -np.inf)
-    with np.errstate(invalid="ignore"):  # NaN input: first_nonfinite finds it
-        flat = _scatter(np.maximum, mx, seg, x)
-    e = np.exp(x - mx[seg])
-    z = np.zeros((num, x.shape[1]))
-    _scatter(np.add, z, seg, e, flat)
-    return e / z[seg]
+    e = np.exp(x - _segment_rows_max(x, seg, num)[seg])
+    return e / _segment_rows_sum(e, seg, num)[seg]
 
 
 def _fwd_segment_sum(vals, attrs):
     (x,) = vals
-    seg, num = _segments(attrs, x.shape[0], "segment_sum")
-    out = np.zeros((num, x.shape[1]))
-    _scatter(np.add, out, seg, x)
-    return out
+    return _segment_rows_sum(x, *_segments(attrs, x.shape[0], "segment_sum"))
 
 
 def _fwd_gather_rows(vals, attrs):
@@ -306,8 +306,7 @@ def _bwd_row_softmax(node, ins):
 def _bwd_segment_softmax(node, ins):
     y, g = node.value, node.grad
     seg = np.asarray(node.attrs["segments"], dtype=np.int64)
-    dot = np.zeros((int(node.attrs["num_segments"]), y.shape[1]))
-    _scatter(np.add, dot, seg, g * y)
+    dot = _segment_rows_sum(g * y, seg, int(node.attrs["num_segments"]))
     return (y * (g - dot[seg]),)
 
 
@@ -317,9 +316,8 @@ def _bwd_segment_sum(node, ins):
 
 
 def _bwd_gather_rows(node, ins):
-    out = np.zeros(ins[0].shape)  # C order for _scatter, whatever the input's layout
-    _scatter(np.add, out, np.asarray(node.attrs["indices"], dtype=np.int64), node.grad)
-    return (out,)
+    idx = np.asarray(node.attrs["indices"], dtype=np.int64)
+    return (_segment_rows_sum(node.grad, idx, ins[0].shape[0]),)
 
 
 _BACKWARD = {

@@ -70,16 +70,14 @@ def kshell(g: CascadeGraph) -> RankedScores:
 
 def h_index(g: CascadeGraph) -> RankedScores:
     """Largest h such that the node has >= h neighbors of degree >= h."""
-    und = g.und_adj
-    deg = g.undirected().out_degrees()
-    scores = np.zeros(g.n, dtype=np.float64)
-    for v in range(g.n):
-        nbr_deg = np.sort(deg[und[v]])[::-1]
-        h = 0
-        while h < nbr_deg.size and nbr_deg[h] >= h + 1:
-            h += 1
-        scores[v] = h
-    return RankedScores("hindex", scores)
+    indptr, indices = g.undirected().csr
+    deg = np.diff(indptr)
+    owner = np.repeat(np.arange(g.n), deg)
+    # each row's neighbour degrees in descending order, against their 1-based rank in the row
+    order = np.lexsort((-deg[indices], owner))
+    rank = np.arange(1, indices.size + 1) - indptr[owner]
+    hits = deg[indices[order]] >= rank  # true on a prefix of each row, whose length is h
+    return RankedScores("hindex", np.bincount(owner, weights=hits, minlength=g.n))
 
 
 def leaderrank(g: CascadeGraph, tol: float = 1e-10, max_iters: int = 100_000) -> RankedScores:

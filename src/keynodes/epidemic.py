@@ -42,8 +42,8 @@ class SirConfig:
     def __post_init__(self):
         if self.mu is not None and not (0.0 <= self.mu <= 1.0):
             raise DataError(f"mu must be in [0, 1], got {self.mu}")
-        if self.runs < 1:
-            raise DataError("runs must be >= 1")
+        if self.runs < 1 or self.rng_seed < 0:
+            raise DataError("runs must be >= 1 and rng_seed >= 0")
 
 
 def default_mu(g: CascadeGraph) -> float:
@@ -232,6 +232,8 @@ def compare_methods(
         if got != want:
             raise DataError(f"method {method!r}: score array sizes {got}, graph sizes {want}")
     names = names if names is not None else [f"graph{gi}" for gi in range(len(graphs))]
+    if len(names) != len(graphs):
+        raise DataError(f"{len(names)} names for {len(graphs)} graphs")
 
     rows = []
     for gi, g in enumerate(graphs):

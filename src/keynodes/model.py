@@ -33,10 +33,10 @@ class ModelConfig:
     mem_slots: int = 32
 
     def __post_init__(self):
-        if self.hidden % self.heads != 0:
-            raise DataError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if min(self.hidden, self.heads, self.mem_groups, self.mem_slots) < 1:
             raise DataError("model dimensions must be >= 1")
+        if self.hidden % self.heads != 0:
+            raise DataError(f"hidden {self.hidden} not divisible by heads {self.heads}")
 
     @property
     def head_dim(self) -> int:

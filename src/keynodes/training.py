@@ -46,8 +46,8 @@ class TrainConfig:
             raise DataError(f"lambda must be finite and > 0, got {self.lam}")
         if self.batch_size < 1 or self.epochs < 1 or self.d_cover < 1:
             raise DataError("batch_size, epochs, d_cover must be >= 1")
-        if self.patience < 0:
-            raise DataError("patience must be >= 0")
+        if self.patience < 0 or self.rng_seed < 0:
+            raise DataError("patience and rng_seed must be >= 0")
 
 
 def select_seeds(scores: np.ndarray, fraction: float) -> SeedSet:

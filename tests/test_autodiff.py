@@ -10,7 +10,8 @@ from keynodes.autodiff import (
     CHECKPOINT_MAGIC,
     ParamStore,
     Tape,
-    _scatter,
+    _segment_rows_max,
+    _segment_rows_sum,
     first_nonfinite,
     grad_check,
     load_checkpoint,
@@ -247,8 +248,11 @@ ALL_OPS = [
 ]
 
 
+SEGMENT_REDUCE = {np.add: _segment_rows_sum, np.maximum: _segment_rows_max}
+
+
 class TestScatter:
-    """_scatter equals the 2-D ufunc.at it replaces, bit for bit."""
+    """The segment sum and max equal the 2-D ufunc.at scatters they replace, bit for bit."""
 
     @pytest.mark.parametrize("cols", [1, 64])
     @pytest.mark.parametrize("ufunc, fill", [(np.add, 0.0), (np.maximum, -np.inf)])
@@ -261,11 +265,33 @@ class TestScatter:
             x[[1, 6], 0] = np.nan
         want = np.full((6, cols), fill)  # segments 1, 3 and 5 are empty
         ufunc.at(want, seg, x)
-        got = np.full((6, cols), fill)
-        with np.errstate(invalid="ignore"):  # the 1-D maximum flags NaN
-            _scatter(ufunc, got, seg, x)
-        assert np.array_equal(got, want, equal_nan=True)
+        got = SEGMENT_REDUCE[ufunc](x, seg, 6)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert np.array_equal(got[[1, 3, 5]], np.full((3, cols), fill))
+
+    @pytest.mark.parametrize("ufunc, fill", [(np.add, 0.0), (np.maximum, -np.inf)])
+    def test_signed_zeros_keep_their_bits(self, ufunc, fill):
+        seg = np.array([1, 0, 1, 0, 1], dtype=np.int64)
+        col = np.array([0.0, -0.0, -0.0, -0.0, 0.0])  # segment 0 all -0.0, segment 1 mixed
+        x = np.stack([col, -col, col[::-1]], axis=1)
+        want = np.full((2, 3), fill)
+        ufunc.at(want, seg, x)
+        got = SEGMENT_REDUCE[ufunc](x, seg, 2)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_gather_rows_backward_through_fortran_leaf(self):
+        rng = np.random.default_rng(3)
+        idx = np.array([4, 0, 4, 2, 0], dtype=np.int64)
+        w = rng.normal(size=(idx.size, 3))
+        tape = Tape()
+        x = tape.leaf(np.asfortranarray(rng.normal(size=(5, 3))))
+        assert tape.value(x).flags.f_contiguous
+        rows = tape.record("gather_rows", [x], indices=idx)
+        tape.backward(tape.record("sum", [tape.record("mul", [rows, tape.leaf(w)])]))
+        want = np.zeros((5, 3))
+        np.add.at(want, idx, w)
+        grad = tape.nodes[x].grad
+        assert grad.flags.c_contiguous and grad.tobytes() == want.tobytes()
 
     def test_segment_softmax_nan_input_warns_nothing(self):
         tape = Tape()

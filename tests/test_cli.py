@@ -167,6 +167,15 @@ class TestTrain:
         assert "must be finite and > 0" in capsys.readouterr().err
         assert not (tmp_path / "best.ckpt").exists()
 
+    def test_zero_heads_exit_2(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("heads = 0\n")
+        base = ["train", "--data", str(dataset), "--out", str(tmp_path)]
+        for extra in (["--heads", "0"], ["--config", str(cfg)]):
+            assert main(base + extra) == 2
+            assert "model dimensions must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "best.ckpt").exists()
+
     def test_undirected_flag_round_trips_through_checkpoint(self, dataset, tmp_path):
         rc = main(
             [

@@ -203,6 +203,10 @@ class TestInfectionRate:
         with pytest.raises(DataError):
             SirConfig(runs=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataError, match="rng_seed >= 0"):
+            SirConfig(rng_seed=-1)
+
 
 class TestRobustness:
     def test_no_removal(self):
@@ -291,6 +295,12 @@ class TestCompareMethods:
         scores["mmen"][1] = scores["mmen"][1][:-1]
         with pytest.raises(DataError, match=r"sizes \[50, 49\], graph sizes \[50, 50\]"):
             compare_methods(graphs, ["mmen"], SirConfig(mu=0.3, runs=2), 0.1, scores=scores)
+
+    @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]])
+    def test_names_length_checked(self, names):
+        graphs = [path_graph(5), path_graph(6)]
+        with pytest.raises(DataError, match=f"{len(names)} names for 2 graphs"):
+            compare_methods(graphs, ["degree"], SirConfig(mu=0.1, runs=2), 0.1, names=names)
 
     def test_fraction_validated(self):
         with pytest.raises(DataError):

@@ -452,6 +452,10 @@ class TestParams:
         with pytest.raises(DataError):
             ModelConfig(hidden=10, heads=4)
 
+    def test_zero_heads_rejected_before_divisibility(self):
+        with pytest.raises(DataError, match="model dimensions must be >= 1"):
+            ModelConfig(heads=0)
+
     def test_unknown_ablation_rejected(self):
         with pytest.raises(DataError, match="no-gravity"):
             init_params(SMALL, 0, {"no-gravity"})

@@ -305,6 +305,10 @@ class TestTrain:
         with pytest.raises(DataError, match="must be finite and > 0"):
             TrainConfig(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataError, match="rng_seed must be >= 0"):
+            TrainConfig(rng_seed=-1)
+
     def test_best_checkpoint_returned(self):
         graphs = tiny_dataset(5, seed=6)
         cfg = TrainConfig(epochs=8, patience=8, rng_seed=1)
