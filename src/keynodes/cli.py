@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,13 @@ def _load_manifest(data_dir) -> dict:
     for split, names in splits.items():
         if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
             raise DataError(f"{path}: split {split!r} must be a list of cascade names")
+        # a name is one directory of the dataset and one report.csv cell
+        bad = [n for n in names if n in ("", ".", "..") or n.splitlines() != [n]
+               or any(c in n for c in "/\\,\0")]
+        if bad:
+            raise DataError(
+                f"{path}: split {split!r} entry {bad[0]!r} is not a plain cascade directory name"
+            )
     return manifest
 
 
@@ -378,20 +386,27 @@ def cmd_score(args) -> int:
     scores, s_user, s_struct, weights = score_graph(
         g, params, model_cfg, user.values, struct.values, undirected=undirected
     )
-    seeds = set(select_seeds(scores, args.fraction).members)
-    w_user, w_stru = (0.0, 1.0) if weights is None else (float(weights[0]), float(weights[1]))
+    seeds = select_seeds(scores, args.fraction).members
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("node,score,s_user,s_struct,w_user,w_stru,is_seed\n")
-        for v in range(g.n):
-            su = "" if s_user is None else repr(float(s_user[v]))
-            fh.write(
-                f"{v},{float(scores[v])!r},{su},{float(s_struct[v])!r},"
-                f"{w_user!r},{w_stru!r},{int(v in seeds)}\n"
-            )
+        fh.write(scores_csv(scores, s_user, s_struct, weights, seeds))
     if args.dump_features:
         dump_features_csv(user, struct, args.dump_features)
     print(f"scored {g.n} nodes; {len(seeds)} flagged as seeds")
     return 0
+
+
+def scores_csv(scores, s_user, s_struct, weights, seeds) -> str:
+    """The text of scores.csv in one join: one row per node, each float as
+    its repr, s_user empty and weights 0.0/1.0 when the model has no user view."""
+    w_user, w_stru = (0.0, 1.0) if weights is None else (float(weights[0]), float(weights[1]))
+    mix = f"{w_user!r},{w_stru!r}"
+    is_seed = np.zeros(scores.size, dtype=np.int64)
+    is_seed[list(seeds)] = 1
+    users = repeat("") if s_user is None else map(repr, s_user.tolist())
+    rows = zip(scores.tolist(), users, s_struct.tolist(), is_seed.tolist())
+    return "node,score,s_user,s_struct,w_user,w_stru,is_seed\n" + "".join(
+        f"{v},{s!r},{su},{st!r},{mix},{k}\n" for v, (s, su, st, k) in enumerate(rows)
+    )
 
 
 def cmd_compare(args) -> int:

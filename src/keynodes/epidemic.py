@@ -107,9 +107,31 @@ def sir_run(g: CascadeGraph, seeds, mu: float, rng, counts=None) -> int:
 
 
 @lru_cache(maxsize=2)
-def _run_seeds(rng_seed: int, start: int, stop: int) -> tuple[int, ...]:
-    """The seeds of runs start..stop-1; every method on a graph shares them."""
-    return tuple(derived_seed(rng_seed, r) for r in range(start, stop))
+def _run_seeds(rng_seed: int, start: int, stop: int) -> np.ndarray:
+    """(runs, 4) PCG64 state words of runs start..stop-1, as
+    ``SeedSequence(seed)`` generates them for ``default_rng(seed)``; every
+    method on a graph shares them."""
+    words = np.array([np.random.SeedSequence(derived_seed(rng_seed, r)).generate_state(4, np.uint64)
+                      for r in range(start, stop)])
+    words.flags.writeable = False  # the cache hands the same array to every call
+    return words
+
+
+def _generators(words) -> list:
+    """One generator per row of PCG64 state words, each in the state
+    ``default_rng(seed)`` starts in, without hashing the seed again."""
+    # imported here: loading numpy.random when keynodes is imported adds ~6 MB
+    # to every process, also one that never draws
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, row):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.row  # PCG64 asks for exactly (4, uint64)
+
+    return [np.random.Generator(np.random.PCG64(Words(row))) for row in words]
 
 
 def infection_rate(g: CascadeGraph, seeds, cfg: SirConfig) -> tuple[float, float]:
@@ -125,8 +147,7 @@ def infection_rate(g: CascadeGraph, seeds, cfg: SirConfig) -> tuple[float, float
     block = max(1, CELLS // max(g.n, 1024))
     for start in range(0, cfg.runs, block):
         stop = min(start + block, cfg.runs)
-        rngs = [np.random.default_rng(s) for s in _run_seeds(cfg.rng_seed, start, stop)]
-        sir_run(g, seeds, mu, rngs, counts[start:stop])
+        sir_run(g, seeds, mu, _generators(_run_seeds(cfg.rng_seed, start, stop)), counts[start:stop])
     # statistics over the integer counts first, so the degenerate cases
     # (mu 0 or 1: every run identical) come out exactly |seeds|/N and 0
     mean = counts.mean() / g.n

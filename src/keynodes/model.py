@@ -23,6 +23,8 @@ VIEWS = ("user", "struct")
 VIEW_DIMS = {"user": USER_DIM, "struct": STRUCT_DIM}
 N_LAYERS = 2
 LEAKY_SLOPE = 0.2
+# (row, column) cells one block of a forward-only pass holds at most
+CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -141,10 +143,44 @@ def attention_indices(g: CascadeGraph, undirected: bool = False):
     return src, dst
 
 
+def row_cuts(indptr, cols) -> list[int]:
+    """Cut points 0 = c_0 < c_1 < ... = n that split n segments, segment i
+    owning rows indptr[i]..indptr[i+1]-1, into blocks of whole segments of at
+    most max(2, CELLS // cols) rows; a segment over that budget is a block of
+    its own.  No block has fewer than two rows, since BLAS rounds a one-row
+    matmul differently: such a block takes in the next segment, and such a
+    tail joins the block before it."""
+    n = len(indptr) - 1
+    budget = max(2, CELLS // cols)
+    cuts = [0]
+    while cuts[-1] < n:
+        lo = cuts[-1]
+        hi = max(lo + 1, int(np.searchsorted(indptr, indptr[lo] + budget, side="right")) - 1)
+        while hi < n and indptr[hi] - indptr[lo] < 2:
+            hi += 1
+        cuts.append(hi)
+    if len(cuts) > 2 and indptr[n] - indptr[cuts[-2]] < 2:
+        del cuts[-2]
+    return cuts
+
+
+def message_blocks(src, dst, n_nodes, cols):
+    """(lo, hi, src, dst) per block of destinations lo..hi-1 with all their
+    messages, for a forward-only ``gat_layer`` of width ``cols``.  Messages go
+    in stable destination order, so each destination keeps its messages in
+    edge order and its segment sums keep their bits."""
+    order = np.argsort(dst, kind="stable")
+    src, dst = src[order], dst[order]
+    indptr = np.searchsorted(dst, np.arange(n_nodes + 1))
+    cuts = row_cuts(indptr, cols)
+    return [(lo, hi, src[indptr[lo] : indptr[hi]], dst[indptr[lo] : indptr[hi]])
+            for lo, hi in zip(cuts, cuts[1:])]
+
+
 # -- tape-level building blocks ------------------------------------------------
 
 
-def gat_layer(tape, h, src, dst, n_nodes, W, a_src, a_dst, heads, slope=0.2):
+def gat_layer(tape, h, src, dst, n_nodes, W, a_src, a_dst, heads, slope=0.2, blocks=None):
     """One multi-head attention layer over the given edge list.
 
     W (L, H*F), a_src and a_dst (H*F, 1) are tape ids of the heads' weights
@@ -155,25 +191,48 @@ def gat_layer(tape, h, src, dst, n_nodes, W, a_src, a_dst, heads, slope=0.2):
     passed through elu.  The heads run together: one (L, H*F) projection,
     and a 0/1 (H*F, H) matrix marking each head's F columns that turns the
     a vectors block-diagonal and spreads (E, H) attention over (E, H*F).
+
+    The projection and each node's head scores are computed once for all
+    nodes; the per-message part runs over ``blocks`` (``message_blocks``,
+    built here if not given), so a forward-only tape holds one block's
+    (E, H*F) rows at a time.
     """
-    blocks = np.kron(np.eye(heads), np.ones((tape.value(W).shape[1] // heads, 1)))
-    mask = tape.leaf(blocks)
+    cols = tape.value(W).shape[1]
+    head_cols = np.kron(np.eye(heads), np.ones((cols // heads, 1)))
+    mask = tape.leaf(head_cols)
     hw = tape.record("matmul", [h, W])
-
-    def head_scores(vec, idx):  # (E, H): a_k . W_k h at each edge's idx end
-        block_diag = tape.record("mul", [vec, mask])
-        return tape.record("gather_rows", [tape.record("matmul", [hw, block_diag])], indices=idx)
-
-    logits = tape.record("add", [head_scores(a_dst, dst), head_scores(a_src, src)])
-    att = tape.record(
-        "segment_softmax",
-        [tape.record("leaky_relu", [logits], alpha=slope)],
-        segments=dst,
-        num_segments=n_nodes,
+    # (N, H): a_k . W_k h of every node, for the destination and the source end
+    to_dst, to_src = (
+        tape.record("matmul", [hw, tape.record("mul", [vec, mask])]) for vec in (a_dst, a_src)
     )
-    spread = tape.record("matmul", [att, tape.leaf(blocks.T)])
-    msgs = tape.record("mul", [spread, tape.record("gather_rows", [hw], indices=src)])
-    return tape.record("elu", [tape.record("segment_sum", [msgs], segments=dst, num_segments=n_nodes)])
+    spread = tape.leaf(head_cols.T)
+
+    def attend(src, dst, seg, num):
+        logits = tape.record(
+            "add",
+            [tape.record("gather_rows", [to_dst], indices=dst),
+             tape.record("gather_rows", [to_src], indices=src)],
+        )
+        att = tape.record(
+            "segment_softmax",
+            [tape.record("leaky_relu", [logits], alpha=slope)],
+            segments=seg,
+            num_segments=num,
+        )
+        msgs = tape.record(
+            "mul",
+            [tape.record("matmul", [att, spread]), tape.record("gather_rows", [hw], indices=src)],
+        )
+        return tape.record("elu", [tape.record("segment_sum", [msgs], segments=seg, num_segments=num)])
+
+    if tape.grad:
+        return attend(src, dst, dst, n_nodes)
+    out = np.empty((n_nodes, cols))
+    if blocks is None:
+        blocks = message_blocks(src, dst, n_nodes, cols)
+    for lo, hi, src_b, dst_b in blocks:
+        out[lo:hi] = attend(src_b, dst_b, dst_b - lo, hi - lo)
+    return out
 
 
 def memory_read(tape, h, slots, conv_w):
@@ -198,6 +257,19 @@ def memory_read(tape, h, slots, conv_w):
 def memory_enhance(tape, h, f_m):
     """relu(layer_norm(h + memory)) with parameter-free row layer norm."""
     return tape.record("relu", [tape.record("layer_norm", [tape.record("add", [h, f_m])], eps=1e-5)])
+
+
+def enhance_rows(tape, h, slots, conv_w):
+    """memory_enhance(h, memory_read(h, slots, conv_w)); a forward-only tape
+    runs it over blocks of h's rows, each with at most CELLS (N, G*b)
+    similarity cells, and a recording tape as one block."""
+    if tape.grad:
+        return memory_enhance(tape, h, memory_read(tape, h, slots, conv_w))
+    out = np.empty_like(h)
+    cuts = row_cuts(np.arange(len(h) + 1), len(slots))
+    for lo, hi in zip(cuts, cuts[1:]):
+        out[lo:hi] = memory_enhance(tape, h[lo:hi], memory_read(tape, h[lo:hi], slots, conv_w))
+    return out
 
 
 def score_head(tape, h, W, b):
@@ -254,6 +326,8 @@ def mmen_forward(
         binding = bind_params(tape, params)
     src, dst = attention_indices(g, undirected=undirected)
     use_memory = "struct.mem0.slots" in params
+    # a forward-only tape runs every attention layer over these blocks
+    blocks = None if tape.grad else message_blocks(src, dst, g.n, cfg.hidden)
 
     def view_forward(view, feats):
         f_in = VIEW_DIMS[view]
@@ -270,10 +344,10 @@ def mmen_forward(
         )
         for layer in range(N_LAYERS):
             gat = [binding[f"{view}.gat{layer}.{t}"] for t in ("W", "a_src", "a_dst")]
-            h = gat_layer(tape, h, src, dst, g.n, *gat, cfg.heads, slope=LEAKY_SLOPE)
+            h = gat_layer(tape, h, src, dst, g.n, *gat, cfg.heads, slope=LEAKY_SLOPE, blocks=blocks)
             if use_memory:
                 mem = [binding[f"{view}.mem{layer}.{t}"] for t in ("slots", "conv_w")]
-                h = memory_enhance(tape, h, memory_read(tape, h, *mem))
+                h = enhance_rows(tape, h, *mem)
         s = score_head(tape, h, binding[f"{view}.score.W"], binding[f"{view}.score.b"])
         return h, s
 

@@ -283,6 +283,35 @@ class TestScore:
             seeds += int(cells[6])
         assert seeds == int(np.ceil(0.05 * n))
 
+    @pytest.mark.parametrize("ablate", [frozenset(), frozenset({"no-user"})])
+    def test_scores_csv_equals_per_row_writer(self, dataset, trained, tmp_path, ablate):
+        """scores.csv, written in one block, has the bytes of one f-string per node."""
+        params = load_checkpoint(trained / "best.ckpt")
+        keep = param_shapes(ModelConfig(), ablate) | {"meta": None}
+        store = ParamStore({k: v for k, v in params.items() if k in keep})
+        meta = store["meta"].copy()
+        meta[0, -1] = sum(1 << i for i, a in enumerate(ABLATIONS) if a in ablate)
+        store["meta"] = meta
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "scores.csv"
+        save_checkpoint(store, ckpt)
+        rc = main(["score", "--checkpoint", str(ckpt), "--cascade", str(dataset / "g002"),
+                   "--out", str(out), "--seed", "5"])
+        assert rc == 0
+
+        g = cli.load_cascade(dataset / "g002")
+        user, struct = featurize_graph(g, WalkConfig(), 5, 0)
+        weights = ParamStore({k: v for k, v in store.items() if k != "meta"})
+        scores, s_user, s_struct, w = score_graph(g, weights, ModelConfig(), user.values, struct.values)
+        assert (s_user is None) == ("no-user" in ablate)
+        seeds = set(training.select_seeds(scores, 0.05).members)
+        w_user, w_stru = (0.0, 1.0) if w is None else (float(w[0]), float(w[1]))
+        want = "node,score,s_user,s_struct,w_user,w_stru,is_seed\n"
+        for v in range(g.n):
+            su = "" if s_user is None else repr(float(s_user[v]))
+            want += (f"{v},{float(scores[v])!r},{su},{float(s_struct[v])!r},"
+                     f"{w_user!r},{w_stru!r},{int(v in seeds)}\n")
+        assert out.read_bytes() == want.encode()
+
     def test_rescoring_identical(self, dataset, trained, tmp_path):
         args = [
             "score", "--checkpoint", str(trained / "best.ckpt"),
@@ -623,6 +652,18 @@ class TestHostileInputs:
         (data / "manifest.json").write_text('{"graphs": ["g000"], "splits": {"test": ["g000", 7]}}')
         rc, err = self.compare(data, tmp_path, capsys)
         assert rc == 2 and "manifest.json" in err and "'test'" in err
+
+    @pytest.mark.parametrize(
+        "entry", ["ABS", "../ds/g009", "", ".", "..", "g0\\09", "g009/", "g0,09", "g009\n", "g0\r09"]
+    )
+    def test_split_entry_not_a_plain_name_exit_2(self, data, tmp_path, capsys, entry):
+        """A test split may name only a cascade directory of the dataset, never
+        a path out of it (ABS: the absolute path of a real cascade) or a name
+        that would break report.csv."""
+        entry = str(data / "g009") if entry == "ABS" else entry
+        (data / "manifest.json").write_text(json.dumps({"graphs": [], "splits": {"test": [entry]}}))
+        rc, err = self.compare(data, tmp_path, capsys)
+        assert rc == 2 and "manifest.json" in err and repr(entry) in err
 
 
 class TestExitCodes:

@@ -155,6 +155,19 @@ class TestLockstep:
         infection_rate(path_graph(10), [0], SirConfig(mu=0.5, runs=2050))
         assert blocks == [epidemic.CELLS // 1024, 2050 - epidemic.CELLS // 1024]
 
+    def test_generators_start_as_default_rng(self, monkeypatch):
+        """Each run's generator, built from its cached state words, starts
+        where ``default_rng`` of the run's seed does."""
+        states = []
+        real = epidemic.sir_run
+        monkeypatch.setattr(epidemic, "CELLS", 40 * 1024)
+        monkeypatch.setattr(epidemic, "sir_run", lambda g, s, mu, rngs, c: states.extend(
+            r.bit_generator.state for r in rngs) or real(g, s, mu, rngs, c))
+        epidemic._run_seeds.cache_clear()
+        infection_rate(path_graph(10), [0], SirConfig(mu=0.5, runs=100, rng_seed=9))
+        assert states == [np.random.default_rng(derived_seed(9, r)).bit_generator.state
+                          for r in range(100)]
+
     def test_run_seeds_derived_once_per_graph(self, monkeypatch):
         calls = []
         monkeypatch.setattr(epidemic, "derived_seed", lambda *p: calls.append(p) or derived_seed(*p))

@@ -155,7 +155,7 @@ class TestFusedOpCounts:
         tape = Tape()
         fwd = mmen_forward(tape, g, user.values, struct.values, init_params(cfg, 0), cfg)
         coverage_loss(tape, fwd.score, g, 1.0, 1)
-        assert len(tape.nodes) <= 170  # 424 unrolled, 240 with per-head leaves, 176 with conv_b
+        assert len(tape.nodes) == 168  # 424 unrolled, 240 with per-head leaves, 176 with conv_b
 
 
 class TestMemory:

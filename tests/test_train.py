@@ -7,16 +7,19 @@ from conftest import path_graph, random_digraph
 from keynodes.autodiff import ParamStore, Tape
 from keynodes.errors import DataError, NumericError, ShapeError
 from keynodes.features import WalkConfig
-from keynodes.graphs import out_neighborhood, synth_cascade
-from keynodes import training
+from keynodes.graphs import CascadeGraph, out_neighborhood, synth_cascade
+from keynodes import model, training
 from keynodes.features import featurize_graph
 from keynodes.model import (
     ModelConfig,
+    attention_indices,
     bind_params,
     collect_grads,
     init_params,
+    message_blocks,
     mmen_forward,
     param_shapes,
+    row_cuts,
 )
 from keynodes.training import (
     AdamState,
@@ -382,3 +385,84 @@ class TestScoreGraph:
         params["user.gat1.a_dst"] = np.full_like(params["user.gat1.a_dst"], np.nan)
         with pytest.raises(NumericError, match=r"^non-finite score from parameter 'user\.gat1\.a_dst'$"):
             score_graph(g, params, TINY, user.values, struct.values)
+
+
+def _hub_graph():
+    """41 nodes: 30 retweeters of hub 0, a chain 30 -> ... -> 39, and node
+    40, retweeted by 39 and retweeting no one, so its only message is its
+    self-loop (a one-row segment at the end)."""
+    edges = [(i, 0) for i in range(1, 31)] + [(i, i + 1) for i in range(30, 39)] + [(40, 39)]
+    return CascadeGraph(41, edges, source=0)
+
+
+class TestBlockedForward:
+    """A forward-only pass runs the messages and memory reads in blocks of
+    at most model.CELLS cells; its scores equal one recording block's."""
+
+    @pytest.mark.parametrize(
+        "sizes,cols,want",
+        [
+            ([1] * 5, model.CELLS // 2, [0, 2, 5]),  # a one-row tail joins the block before it
+            ([1, 10, 1, 1], model.CELLS // 4, [0, 2, 4]),  # a hub over budget, and its lead row
+            ([3, 3, 3], model.CELLS // 6, [0, 2, 3]),
+            ([1, 1, 3], model.CELLS // 2, [0, 2, 3]),
+            ([1], model.CELLS, [0, 1]),  # a one-row forward has no other block
+            ([4, 4], 1, [0, 2]),
+        ],
+    )
+    def test_row_cuts(self, sizes, cols, want):
+        assert row_cuts(np.concatenate([[0], np.cumsum(sizes)]), cols) == want
+
+    def test_message_blocks_keep_edge_order_per_destination(self):
+        g = _hub_graph()
+        src, dst = attention_indices(g)
+        blocks = message_blocks(src, dst, g.n, model.CELLS // 8)  # 8 rows a block: the hub is over
+        assert blocks[0][:2] == (0, 1) and blocks[0][3].size == 31
+        assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]] and blocks[-1][1] == g.n
+        for lo, hi, src_b, dst_b in blocks:
+            assert src_b.size >= 2 and dst_b.min() >= lo and dst_b.max() < hi
+            for d in range(lo, hi):
+                assert src_b[dst_b == d].tolist() == src[dst == d].tolist()
+
+    @pytest.mark.parametrize("ablate", [frozenset(), frozenset({"no-memory"}), frozenset({"no-user"})])
+    @pytest.mark.parametrize("cells", [128, 192, 320, 576, 1024])
+    def test_no_grad_blocks_bitwise_equal_to_recording(self, monkeypatch, ablate, cells):
+        g = _hub_graph()
+        rng = np.random.default_rng(3)
+        user, struct = rng.normal(size=(g.n, 9)), rng.normal(size=(g.n, 8))
+        cfg = ModelConfig()
+        params = _store(cfg, ablate)
+        monkeypatch.setattr(model, "CELLS", cells)
+        assert 31 > cells // cfg.hidden  # the hub's messages exceed a block
+        tape = Tape()
+        fwd = mmen_forward(tape, g, user, struct, params, cfg)
+        outs = (fwd.score, fwd.score_user, fwd.score_struct, fwd.weights)
+        want = [None if i is None else tape.value(i).ravel() for i in outs]
+        got = score_graph(g, params, cfg, user, struct)
+        for w, x in zip(want, got):
+            assert (w is None and x is None) or np.array_equal(x, w)
+
+    @pytest.mark.parametrize("cells", [128, 256, 1024])
+    def test_memory_row_blocks_bitwise_equal_to_one_block(self, monkeypatch, cells):
+        """41 rows leave a one-row tail, whose one-row matmul BLAS would round
+        differently; it joins the block before it."""
+        params = init_params(ModelConfig(), 0)
+        mem = [params[f"struct.mem0.{t}"] for t in ("slots", "conv_w")]
+        monkeypatch.setattr(model, "CELLS", cells)
+        for seed in range(5):
+            h = np.random.default_rng(seed).normal(size=(41, 64))
+            tape = Tape()
+            want = tape.value(model.enhance_rows(tape, *(tape.leaf(x) for x in [h] + mem)))
+            assert np.array_equal(model.enhance_rows(Tape(grad=False), h, *mem), want)
+
+    def test_peak_under_eight_node_arrays(self):
+        g = synth_cascade(20000, 0.1, 0.3, 7)
+        user, struct = featurize_graph(g, WalkConfig(), 0, 0)
+        cfg, params = ModelConfig(), init_params(ModelConfig(), 0)
+        tracemalloc.start()
+        try:
+            score_graph(g, params, cfg, user.values, struct.values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * g.n * cfg.hidden * 8, peak
