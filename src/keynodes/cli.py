@@ -30,7 +30,8 @@ _META_VERSION = 3.0
 _META_BOUNDS = {
     "hidden": (1, None), "heads": (1, None), "mem_groups": (1, None), "mem_slots": (1, None),
     "walks_per_node": (1, None), "walk_len": (1, None),
-    "undirected": (0, 1), "ablation_bits": (0, 2 ** len(ABLATIONS) - 1),
+    # reserved: walks and attention read the cascade's own edge direction
+    "undirected": (0, 0), "ablation_bits": (0, 2 ** len(ABLATIONS) - 1),
 }
 
 
@@ -94,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--walks-per-node", type=int, default=10, help="random walks per node (default 10)")
     p.add_argument("--walk-len", type=int, default=4, help="random walk length (default 4)")
     p.add_argument("--ablate", choices=ABLATIONS, default=None, help="train a reduced variant")
-    p.add_argument("--undirected", action="store_true", help="walk and attend over both edge directions")
     common(p)
     p.set_defaults(func=cmd_train)
 
@@ -133,9 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """Parse argv, letting an optional --config file supply defaults.
 
@@ -172,10 +169,6 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
 
 def _config_value(action: argparse.Action, kind: str, raw: str):
     """Convert a config-file value as argparse converts a flag added with ``action=kind``."""
-    if kind == "store_true":
-        if raw.lower() not in _BOOLS:
-            raise ValueError(f"expected one of {', '.join(_BOOLS)}")
-        return _BOOLS[raw.lower()]
 
     def one(text):
         val = action.type(text) if action.type is not None else text
@@ -279,7 +272,7 @@ def _load_split(data_dir, manifest, split) -> tuple[list, list[str]]:
     return graphs, names
 
 
-def _pack_meta(model_cfg: ModelConfig, walk_cfg: WalkConfig, undirected: bool, ablate) -> np.ndarray:
+def _pack_meta(model_cfg: ModelConfig, walk_cfg: WalkConfig, ablate) -> np.ndarray:
     bits = sum(1 << i for i, a in enumerate(ABLATIONS) if a in ablate)
     return np.array(
         [
@@ -291,7 +284,7 @@ def _pack_meta(model_cfg: ModelConfig, walk_cfg: WalkConfig, undirected: bool, a
                 model_cfg.mem_slots,
                 walk_cfg.walks_per_node,
                 walk_cfg.walk_len,
-                1.0 if undirected else 0.0,
+                0.0,
                 bits,
             ]
         ]
@@ -299,8 +292,8 @@ def _pack_meta(model_cfg: ModelConfig, walk_cfg: WalkConfig, undirected: bool, a
 
 
 def _load_model(path):
-    """Read a checkpoint and check it: (weights, model config, walk config,
-    undirected).  Any bad meta entry or tensor is a DataError.  The meta
+    """Read a checkpoint and check it: (weights, model config, walk config).
+    Any bad meta entry or tensor is a DataError.  The meta
     ablation bits only say which tensors to expect; the weights themselves
     then decide what the forward runs."""
     params = load_checkpoint(path)
@@ -319,7 +312,7 @@ def _load_model(path):
         if not (x.is_integer() and lo <= x and (hi is None or x <= hi)):
             want = f"an integer >= {lo}" if hi is None else f"an integer in {lo}..{hi}"
             raise DataError(f"checkpoint meta entry {key!r} is {x:g}; expected {want}")
-    hidden, heads, groups, slots, walks, walk_len, undirected, bits = map(int, row[1:].tolist())
+    hidden, heads, groups, slots, walks, walk_len, _, bits = map(int, row[1:].tolist())
     model_cfg = ModelConfig(hidden=hidden, heads=heads, mem_groups=groups, mem_slots=slots)
     walk_cfg = WalkConfig(walks_per_node=walks, walk_len=walk_len)
     ablate = frozenset(a for i, a in enumerate(ABLATIONS) if bits & (1 << i))
@@ -328,7 +321,7 @@ def _load_model(path):
     bad = next((k for k, v in weights.items() if not np.isfinite(v).all()), None)
     if bad is not None:
         raise DataError(f"checkpoint tensor {bad!r} holds a non-finite value")
-    return weights, model_cfg, walk_cfg, bool(undirected)
+    return weights, model_cfg, walk_cfg
 
 
 def cmd_train(args) -> int:
@@ -357,19 +350,13 @@ def cmd_train(args) -> int:
     walk_cfg = WalkConfig(walks_per_node=args.walks_per_node, walk_len=args.walk_len)
 
     result = train(
-        train_graphs,
-        val_graphs,
-        cfg,
-        model_cfg=model_cfg,
-        walk_cfg=walk_cfg,
-        ablate=ablate,
-        undirected=args.undirected,
+        train_graphs, val_graphs, cfg, model_cfg=model_cfg, walk_cfg=walk_cfg, ablate=ablate
     )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = result.params.copy()
-    ckpt["meta"] = _pack_meta(model_cfg, walk_cfg, args.undirected, ablate)
+    ckpt["meta"] = _pack_meta(model_cfg, walk_cfg, ablate)
     save_checkpoint(ckpt, out / "best.ckpt")
     with open(out / "history.csv", "w", encoding="utf-8") as fh:
         fh.write("epoch,train_loss,val_loss\n")
@@ -380,11 +367,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    params, model_cfg, walk_cfg, undirected = _load_model(args.checkpoint)
+    params, model_cfg, walk_cfg = _load_model(args.checkpoint)
     g = load_cascade(args.cascade)
-    user, struct = featurize_graph(g, walk_cfg, args.seed, 0, undirected=undirected)
+    user, struct = featurize_graph(g, walk_cfg, args.seed, 0)
     scores, s_user, s_struct, weights = score_graph(
-        g, params, model_cfg, user.values, struct.values, undirected=undirected
+        g, params, model_cfg, user.values, struct.values
     )
     seeds = select_seeds(scores, args.fraction).members
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -425,7 +412,7 @@ def cmd_compare(args) -> int:
     if args.checkpoint or "mmen" in methods or ablations:
         if not args.checkpoint:
             raise DataError("the mmen method needs --checkpoint")
-        params, model_cfg, walk_cfg, undirected = _load_model(args.checkpoint)
+        params, model_cfg, walk_cfg = _load_model(args.checkpoint)
         # mmen-<a> is the checkpoint minus the <a> tensors.  Bit for bit, the
         # no-user and no-fusion forwards are the full one's s_struct and its
         # 0.5/0.5 view mix, so only no-memory needs a forward of its own.
@@ -433,13 +420,13 @@ def cmd_compare(args) -> int:
         no_memory = ParamStore({k: v for k, v in params.items() if k in keep})
         scores = {name: [] for name in ["mmen"] + [f"mmen-{a}" for a in ablations]}
         for gi, g in enumerate(graphs):
-            user, struct = featurize_graph(g, walk_cfg, args.seed, gi, undirected=undirected)
+            user, struct = featurize_graph(g, walk_cfg, args.seed, gi)
             views = (user.values, struct.values)
-            full, s_user, s_struct, _ = score_graph(g, params, model_cfg, *views, undirected)
+            full, s_user, s_struct, _ = score_graph(g, params, model_cfg, *views)
             mixed = s_struct if s_user is None else 0.5 * s_user + 0.5 * s_struct
             derived = {"mmen": full, "mmen-no-user": s_struct, "mmen-no-fusion": mixed}
             if "no-memory" in ablations:
-                derived["mmen-no-memory"] = score_graph(g, no_memory, model_cfg, *views, undirected)[0]
+                derived["mmen-no-memory"] = score_graph(g, no_memory, model_cfg, *views)[0]
             for name, rows in scores.items():
                 rows.append(derived[name])
         if "mmen" not in methods:

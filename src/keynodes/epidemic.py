@@ -238,14 +238,20 @@ def compare_methods(
     from the ``(cfg.rng_seed, gi)`` stream.  `scores` maps a model-based
     method to one per-node score array per graph, in graph order (DataError
     on a missing or wrong-size array).  Built-in names are degree, kshell,
-    hindex, leaderrank, greedy, and random.
+    hindex, leaderrank, greedy, and random.  An empty method list, or one
+    that names a method twice, is a DataError.
     """
     methods = list(methods)
+    if not methods:
+        raise DataError("no method given")
     scores = scores or {}
     valid = set(BUILTIN_METHODS) | set(scores)
     unknown = [m for m in methods if m not in valid]
     if unknown:
         raise DataError(f"unknown method(s) {unknown}; valid: {sorted(valid)}")
+    repeated = next((m for i, m in enumerate(methods) if m in methods[:i]), None)
+    if repeated is not None:
+        raise DataError(f"method {repeated!r} is named more than once")
     if not (0 < seed_fraction <= 1):
         raise DataError(f"fraction must be in (0, 1], got {seed_fraction}")
     for method, per_graph in scores.items():

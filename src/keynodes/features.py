@@ -86,9 +86,7 @@ def normalize_features(m: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix(_zscore(vals), m.view_tag)
 
 
-def raw_walk_statistics(
-    g: CascadeGraph, cfg: WalkConfig, undirected: bool = False
-) -> np.ndarray:
+def raw_walk_statistics(g: CascadeGraph, cfg: WalkConfig) -> np.ndarray:
     """Unnormalized (N, 8) walk statistics.
 
     Columns: out-degree and in-degree (each over n-1), mean and max
@@ -99,9 +97,8 @@ def raw_walk_statistics(
     with ``cfg.rng_seed``, so the draws depend only on (graph, rng_seed), not
     on edge order.
     """
-    gv = g.undirected() if undirected else g
     n, walks, steps = g.n, cfg.walks_per_node, cfg.walk_len
-    indptr, indices = gv.csr
+    indptr, indices = g.csr
     outdeg = np.diff(indptr)
     start = np.repeat(np.arange(n), walks)
     cur, depth, depth_sum = start, 0, 0
@@ -126,7 +123,7 @@ def raw_walk_statistics(
     denom = max(n - 1, 1)
     stats = np.empty((n, STRUCT_DIM), dtype=np.float64)
     stats[:, 0] = outdeg / denom
-    stats[:, 1] = gv.in_degrees() / denom
+    stats[:, 1] = g.in_degrees() / denom
     stats[:, 2] = vis_deg.mean(axis=1)
     stats[:, 3] = vis_deg.max(axis=1)
     stats[:, 4] = (vis == home).mean(axis=1)
@@ -136,25 +133,19 @@ def raw_walk_statistics(
     return stats
 
 
-def random_walk_features(
-    g: CascadeGraph, cfg: WalkConfig, undirected: bool = False
-) -> FeatureMatrix:
+def random_walk_features(g: CascadeGraph, cfg: WalkConfig) -> FeatureMatrix:
     """Structural view: per-graph z-scored random-walk statistics."""
-    return FeatureMatrix(_zscore(raw_walk_statistics(g, cfg, undirected)), "structure")
+    return FeatureMatrix(_zscore(raw_walk_statistics(g, cfg)), "structure")
 
 
 def featurize_graph(
-    g: CascadeGraph,
-    walk_cfg: WalkConfig,
-    master_seed: int,
-    graph_index: int,
-    undirected: bool = False,
+    g: CascadeGraph, walk_cfg: WalkConfig, master_seed: int, graph_index: int
 ) -> tuple[FeatureMatrix, FeatureMatrix]:
     """Both normalized views for one graph of a dataset, deterministically
     keyed by (master seed, graph index)."""
     user = normalize_features(user_feature_matrix(g))
     wcfg = replace(walk_cfg, rng_seed=derived_seed(master_seed, graph_index))
-    struct = random_walk_features(g, wcfg, undirected=undirected)
+    struct = random_walk_features(g, wcfg)
     return user, struct
 
 

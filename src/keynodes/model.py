@@ -130,16 +130,15 @@ def collect_grads(tape: Tape, binding: dict[str, int]) -> dict[str, np.ndarray]:
     return out
 
 
-def attention_indices(g: CascadeGraph, undirected: bool = False):
+def attention_indices(g: CascadeGraph):
     """(src, dst) arrays for attention messages, one self-loop per node.
 
     Message j -> i exists when j is an in-neighbor of i (dst attends over
     its in-neighbors and itself).
     """
-    gv = g.undirected() if undirected else g
     loops = np.arange(g.n, dtype=np.int64)
-    src = np.concatenate([gv.edges[:, 0], loops])
-    dst = np.concatenate([gv.edges[:, 1], loops])
+    src = np.concatenate([g.edges[:, 0], loops])
+    dst = np.concatenate([g.edges[:, 1], loops])
     return src, dst
 
 
@@ -313,7 +312,6 @@ def mmen_forward(
     params: ParamStore,
     cfg: ModelConfig,
     binding: dict[str, int] | None = None,
-    undirected: bool = False,
 ) -> ForwardResult:
     """Full forward pass on one graph; returns tape ids of all outputs.
 
@@ -324,7 +322,7 @@ def mmen_forward(
     """
     if binding is None:
         binding = bind_params(tape, params)
-    src, dst = attention_indices(g, undirected=undirected)
+    src, dst = attention_indices(g)
     use_memory = "struct.mem0.slots" in params
     # a forward-only tape runs every attention layer over these blocks
     blocks = None if tape.grad else message_blocks(src, dst, g.n, cfg.hidden)

@@ -130,28 +130,18 @@ def prepare_graphs(
     graphs,
     cfg: TrainConfig,
     walk_cfg: WalkConfig,
-    undirected: bool = False,
     index_offset: int = 0,
 ) -> list[GraphBundle]:
     bundles = []
     for i, g in enumerate(graphs):
-        user, struct = featurize_graph(
-            g, walk_cfg, cfg.rng_seed, index_offset + i, undirected=undirected
-        )
+        user, struct = featurize_graph(g, walk_cfg, cfg.rng_seed, index_offset + i)
         bundles.append(GraphBundle(g, user.values, struct.values, cover_pairs(g, cfg.d_cover)))
     return bundles
 
 
-def _graph_loss(tape, bundle, params, binding, model_cfg, cfg, undirected):
+def _graph_loss(tape, bundle, params, binding, model_cfg, cfg):
     fwd = mmen_forward(
-        tape,
-        bundle.graph,
-        bundle.user,
-        bundle.struct,
-        params,
-        model_cfg,
-        binding=binding,
-        undirected=undirected,
+        tape, bundle.graph, bundle.user, bundle.struct, params, model_cfg, binding=binding
     )
     return coverage_loss(tape, fwd.score, bundle.graph, cfg.lam, cfg.d_cover, pairs=bundle.pairs)
 
@@ -189,7 +179,6 @@ def train(
     model_cfg: ModelConfig | None = None,
     walk_cfg: WalkConfig | None = None,
     ablate=frozenset(),
-    undirected: bool = False,
     init: ParamStore | None = None,
 ) -> TrainResult:
     """Batch training with early stopping on mean validation loss.
@@ -207,8 +196,8 @@ def train(
         validate_params(init, model_cfg, ablate)
     params = init.copy() if init is not None else init_params(model_cfg, cfg.rng_seed, ablate)
 
-    train_b = prepare_graphs(train_graphs, cfg, walk_cfg, undirected)
-    val_b = prepare_graphs(val_graphs, cfg, walk_cfg, undirected, index_offset=len(train_b))
+    train_b = prepare_graphs(train_graphs, cfg, walk_cfg)
+    val_b = prepare_graphs(val_graphs, cfg, walk_cfg, index_offset=len(train_b))
     adam = AdamState.for_params(params)
     shuffle_rng = np.random.default_rng([cfg.rng_seed, 1])
 
@@ -223,7 +212,7 @@ def train(
             for gi in batch:
                 tape = Tape()
                 binding = bind_params(tape, params)
-                loss_id = _graph_loss(tape, train_b[gi], params, binding, model_cfg, cfg, undirected)
+                loss_id = _graph_loss(tape, train_b[gi], params, binding, model_cfg, cfg)
                 epoch_loss += _check_finite(tape, loss_id, f"epoch {epoch} training")
                 tape.backward(loss_id)
                 grads = collect_grads(tape, binding)
@@ -241,7 +230,7 @@ def train(
         val_loss = 0.0
         for bundle in val_b:
             run = partial(_graph_loss, bundle=bundle, params=params, binding=None,
-                          model_cfg=model_cfg, cfg=cfg, undirected=undirected)
+                          model_cfg=model_cfg, cfg=cfg)
             tape = Tape(grad=False)
             val_loss += _check_finite(tape, run(tape), f"epoch {epoch} validation", run)
         val_loss /= len(val_b)
@@ -265,7 +254,6 @@ def score_graph(
     model_cfg: ModelConfig,
     user: np.ndarray,
     struct: np.ndarray,
-    undirected: bool = False,
 ):
     """Forward-only scores for one graph from the ``.values`` of its two
     ``featurize_graph`` views, so several parameter stores (a checkpoint and
@@ -275,7 +263,7 @@ def score_graph(
     weights are None when the store has no user view.
     """
     run = partial(mmen_forward, g=g, user_feats=user, struct_feats=struct, params=params,
-                  cfg=model_cfg, undirected=undirected)
+                  cfg=model_cfg)
     tape = Tape(grad=False)
     fwd = run(tape)
     if not np.isfinite(fwd.score).all():

@@ -176,22 +176,12 @@ class TestTrain:
             assert "model dimensions must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "best.ckpt").exists()
 
-    def test_undirected_flag_round_trips_through_checkpoint(self, dataset, tmp_path):
-        rc = main(
-            [
-                "train", "--data", str(dataset), "--out", str(tmp_path),
-                "--epochs", "1", "--undirected", "--seed", "3",
-            ]
-        )
-        assert rc == 0
-        rc = main(
-            [
-                "score", "--checkpoint", str(tmp_path / "best.ckpt"),
-                "--cascade", str(dataset / "g003"), "--out", str(tmp_path / "s.csv"), "--seed", "3",
-            ]
-        )
-        assert rc == 0
-        assert (tmp_path / "s.csv").read_text().count("\n") > 1
+    def test_undirected_flag_is_a_usage_error(self, dataset, tmp_path, capsys):
+        """Walks and attention read the cascade's own edges; there is no switch."""
+        rc = main(["train", "--data", str(dataset), "--out", str(tmp_path), "--undirected"])
+        assert rc == 1
+        assert "--undirected" in capsys.readouterr().err
+        assert not (tmp_path / "best.ckpt").exists()
 
     def test_config_file_defaults_and_flag_override(self, dataset, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -227,6 +217,7 @@ class TestTrain:
             ("train", "seed = -3"),
             ("train", "ablate = bogus"),
             ("train", "undirected = maybe"),
+            ("train", "undirected = 1"),
             ("compare", "ablate = no-user, bogus"),
         ],
     )
@@ -244,8 +235,6 @@ class TestTrain:
     @pytest.mark.parametrize(
         "command, line, dest, value",
         [
-            ("train", "undirected = yes", "undirected", True),
-            ("train", "undirected = 0", "undirected", False),
             ("compare", "ablate = no-user, all", "ablate", ["no-user", "all"]),
             ("compare", "runs = 7", "runs", 7),
         ],
@@ -330,8 +319,19 @@ class TestScore:
             ]
         )
         assert rc == 0
-        header = (tmp_path / "f.csv").read_text().split("\n")[0]
-        assert header == "node,view," + ",".join(f"f{i}" for i in range(9))
+        g = cli.load_cascade(dataset / "g002")
+        user, struct = featurize_graph(g, WalkConfig(), 0, 0)
+        lines = (tmp_path / "f.csv").read_text().split("\n")
+        assert lines[0] == "node,view," + ",".join(f"f{i}" for i in range(USER_DIM))
+        assert lines[-1] == "" and len(lines) - 2 == 2 * g.n
+        want = [
+            [str(v), tag, *map(repr, m.values[v].tolist()), *[""] * (USER_DIM - m.values.shape[1])]
+            for tag, m in (("user", user), ("structure", struct))
+            for v in range(g.n)
+        ]
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert all(row[-1] == "" for row in rows[g.n :])  # structure rows leave f8 empty
+        assert rows == want
 
     def test_dump_features_featurizes_once(self, dataset, trained, tmp_path, monkeypatch):
         calls = count_featurize(monkeypatch)
@@ -387,7 +387,10 @@ class TestScore:
 
     @pytest.mark.parametrize(
         "entry, value",
-        [("hidden", np.nan), ("hidden", 64.7), ("undirected", 7.0), ("ablation_bits", 1e30)],
+        [
+            ("hidden", np.nan), ("hidden", 64.7), ("undirected", 7.0), ("undirected", 1.0),
+            ("ablation_bits", 1e30),
+        ],
     )
     def test_bad_meta_entry_exit_2(self, dataset, trained, tmp_path, capsys, entry, value):
         params = load_checkpoint(trained / "best.ckpt")
@@ -483,6 +486,22 @@ class TestCompare:
         n_test = len(manifest["splits"]["test"])
         assert len(lines) - 1 == n_test * 6
 
+    @pytest.mark.parametrize(
+        "methods, named",
+        [(",", "no method given"), ("degree,degree", "'degree'"), ("mmen,mmen", "'mmen'")],
+    )
+    def test_empty_or_repeated_methods_exit_2(
+        self, dataset, trained, tmp_path, capsys, methods, named
+    ):
+        out = tmp_path / "r.csv"
+        argv = ["compare", "--data", str(dataset), "--out", str(out), "--methods", methods,
+                "--runs", "2"]
+        if "mmen" in methods:
+            argv += ["--checkpoint", str(trained / "best.ckpt")]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ablate_all_featurizes_each_graph_once(self, dataset, trained, tmp_path, monkeypatch):
         calls = count_featurize(monkeypatch)
         rc = main(
@@ -524,7 +543,7 @@ class TestCompare:
         for base in (frozenset(), frozenset({"no-user"})):
             params = init_params(model_cfg, 9, base)
             ckpt = params.copy()
-            ckpt["meta"] = cli._pack_meta(model_cfg, walk_cfg, False, base)
+            ckpt["meta"] = cli._pack_meta(model_cfg, walk_cfg, base)
             save_checkpoint(ckpt, tmp_path / "m.ckpt")
             seen.clear()
             forwards.clear()

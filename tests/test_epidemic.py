@@ -278,6 +278,21 @@ class TestCompareMethods:
         with pytest.raises(DataError, match="degree"):
             compare_methods(graphs, ["pagerank"], SirConfig(mu=0.1), 0.1)
 
+    @pytest.mark.parametrize(
+        "methods, error",
+        [
+            ([], "no method given"),
+            (["degree", "degree"], "method 'degree' is named more than once"),
+            (["mmen", "random", "mmen"], "method 'mmen' is named more than once"),
+        ],
+        ids=["empty", "degree", "mmen"],
+    )
+    def test_empty_or_repeated_methods_rejected(self, methods, error):
+        g = path_graph(5)
+        scores = {"mmen": [g.out_degrees().astype(float)]}
+        with pytest.raises(DataError, match=error):
+            compare_methods([g], methods, SirConfig(mu=0.1, runs=2), 0.1, scores=scores)
+
     def test_greedy_fragments_more_than_random(self):
         graphs = [synth_cascade(500, 0.1, 0.5, 100 + s) for s in range(20)]
         report = compare_methods(

@@ -18,14 +18,13 @@ from keynodes.graphs import CascadeGraph, UserRecord, synth_cascade
 from keynodes.seeding import derived_seed
 
 
-def loop_walk_statistics(g, cfg, undirected=False):
+def loop_walk_statistics(g, cfg):
     """Reference walker: one Python loop per node and step, each node drawing
     from its own derived RNG stream.  Same distribution as
     raw_walk_statistics, different draws."""
-    gv = g.undirected() if undirected else g
-    adj = gv.out_adj
-    outdeg = gv.out_degrees().astype(np.float64)
-    indeg = gv.in_degrees().astype(np.float64)
+    adj = g.out_adj
+    outdeg = g.out_degrees().astype(np.float64)
+    indeg = g.in_degrees().astype(np.float64)
     denom = max(g.n - 1, 1)
     steps_total = cfg.walks_per_node * cfg.walk_len
     stats = np.zeros((g.n, STRUCT_DIM), dtype=np.float64)
@@ -185,32 +184,36 @@ class TestWalks:
             band = 3.0 * std * np.sqrt(1.0 / walks + 1.0 / n_oracle)
             assert np.all(np.abs(got - mean) <= band + 1e-12), (v, got, mean, band)
 
-    @pytest.mark.parametrize("undirected", [False, True])
+    @pytest.mark.parametrize("symmetric", [False, True])
     @pytest.mark.parametrize("graph", ["digraph0", "digraph1", "digraph2", "cascade"])
-    def test_matches_reference_walker(self, graph, undirected):
+    def test_matches_reference_walker(self, graph, symmetric):
         """Degree columns equal the per-node loop's exactly; every walk
         column's mean over nodes agrees within 3 standard errors of the
-        per-node differences."""
+        per-node differences.  ``symmetric`` walks the graph's both-direction
+        view, a graph whose every edge has its reverse."""
         if graph == "cascade":
             g = synth_cascade(300, 0.1, 0.3, 5)
         else:
             g = random_digraph(np.random.default_rng(int(graph[-1])), 60, 0.04)
+        if symmetric:
+            g = g.undirected()
         cfg = WalkConfig(walks_per_node=10, walk_len=4, rng_seed=5)
-        got = raw_walk_statistics(g, cfg, undirected=undirected)
-        ref = loop_walk_statistics(g, cfg, undirected=undirected)
+        got = raw_walk_statistics(g, cfg)
+        ref = loop_walk_statistics(g, cfg)
         assert np.array_equal(got[:, :2], ref[:, :2])
         diff = got[:, 2:] - ref[:, 2:]
         stderr = diff.std(axis=0, ddof=1) / np.sqrt(g.n)
         assert np.all(np.abs(diff.mean(axis=0)) <= 3.0 * stderr + 1e-12), (diff.mean(axis=0), stderr)
 
-    @pytest.mark.parametrize("undirected", [False, True])
-    def test_independent_of_edge_order(self, undirected):
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_independent_of_edge_order(self, symmetric):
         g = synth_cascade(200, 0.1, 0.3, 4)
+        if symmetric:
+            g = g.undirected()
         perm = np.random.default_rng(2).permutation(len(g.edges))
         g2 = CascadeGraph(g.n, g.edges[perm], source=g.source)
         cfg = WalkConfig(rng_seed=11)
-        a = raw_walk_statistics(g, cfg, undirected=undirected)
-        assert np.array_equal(a, raw_walk_statistics(g2, cfg, undirected=undirected))
+        assert np.array_equal(raw_walk_statistics(g, cfg), raw_walk_statistics(g2, cfg))
 
     def test_one_derived_seed_per_graph(self, monkeypatch):
         import keynodes.features as features
@@ -237,15 +240,18 @@ class TestWalks:
             tracemalloc.stop()
         assert peak < 20 * 2**20, peak
 
-    @pytest.mark.parametrize("undirected", [False, True])
-    def test_edgeless_and_sink_only_nodes(self, undirected):
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_edgeless_and_sink_only_nodes(self, symmetric):
         cfg = WalkConfig(walks_per_node=3, walk_len=5, rng_seed=4)
         sink_row = [0.0, 0.0, 0.0, 0.0, 1.0, 1 / 16, 0.0, 0.0]
-        raw = raw_walk_statistics(CascadeGraph(4, []), cfg, undirected=undirected)
+        edgeless, fan_in = CascadeGraph(4, []), CascadeGraph(3, [(0, 2), (1, 2)])
+        if symmetric:
+            edgeless, fan_in = edgeless.undirected(), fan_in.undirected()
+        raw = raw_walk_statistics(edgeless, cfg)
         assert np.array_equal(raw, np.tile(sink_row, (4, 1)))
-        raw = raw_walk_statistics(CascadeGraph(3, [(0, 2), (1, 2)]), cfg, undirected=undirected)
+        raw = raw_walk_statistics(fan_in, cfg)
         assert np.isfinite(raw).all()
-        if not undirected:  # node 2 has only in-edges
+        if not symmetric:  # node 2 has only in-edges
             assert np.array_equal(raw[2, 2:], sink_row[2:])
 
     def test_config_validation(self):

@@ -283,7 +283,7 @@ class TestTrain:
         for bundle in training.prepare_graphs(graphs[:2], cfg, WalkConfig()):
             tape = Tape()
             binding = bind_params(tape, params)
-            tape.backward(training._graph_loss(tape, bundle, params, binding, TINY, cfg, False))
+            tape.backward(training._graph_loss(tape, bundle, params, binding, TINY, cfg))
             per_graph.append({k: v.copy() for k, v in collect_grads(tape, binding).items()})
         assert len(steps) == 1 and set(steps[0]) == set(params.names())
         for name, g in steps[0].items():
