@@ -3,7 +3,9 @@
 Values are always 2-D float64 arrays; scalars are (1, 1).  The forward pass
 runs eagerly as ops are recorded; `Tape.backward` sweeps the tape in reverse
 to accumulate gradients.  The op set is exactly what the scoring model
-needs, no more.
+needs, no more.  One op is fused to save memory: ``attend`` sums graph
+attention's weighted messages per destination and, in backward, recomputes
+its (messages, width) intermediates instead of keeping them on the tape.
 
 Subgradient conventions: leaky_relu'(0) = alpha, relu'(0) = 0,
 clamp_min'(at the bound) = 1.
@@ -229,6 +231,23 @@ def _fwd_gather_rows(vals, attrs):
     return x[idx]
 
 
+def _fwd_attend(vals, attrs):
+    """Per-segment sums of the messages (att @ spread) * hw[src]: each message's (E, H)
+    attention spread over its heads' columns by the 0/1 (H, H*F) attr ``spread``,
+    times its source's row of hw."""
+    att, hw = vals
+    spread = np.asarray(attrs["spread"], dtype=np.float64)
+    src = np.asarray(attrs["src"], dtype=np.int64)
+    if spread.shape != (att.shape[1], hw.shape[1]):
+        raise ShapeError(f"attend: spread {spread.shape} does not map {att.shape} onto {hw.shape}")
+    if src.shape != (att.shape[0],):
+        raise ShapeError(f"attend: src shape {src.shape} != ({att.shape[0]},)")
+    if src.size and (src.min() < 0 or src.max() >= hw.shape[0]):
+        raise ShapeError(f"attend: source out of range [0, {hw.shape[0]})")
+    seg, num = _segments(attrs, att.shape[0], "attend")
+    return _segment_rows_sum((att @ spread) * hw[src], seg, num)
+
+
 def _fwd_log(vals, attrs):
     # non-positive inputs yield -inf/NaN silently; first_nonfinite finds them
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -259,6 +278,7 @@ _FORWARD = {
     "sum": lambda v, a: np.array([[v[0].sum()]]),
     "scalar_mul": lambda v, a: float(a["c"]) * v[0],
     "gather_rows": _fwd_gather_rows,
+    "attend": _fwd_attend,
     "clamp_min": lambda v, a: np.maximum(v[0], float(a["c"])),
     "transpose": lambda v, a: v[0].T.copy(),
 }
@@ -320,6 +340,15 @@ def _bwd_gather_rows(node, ins):
     return (_segment_rows_sum(node.grad, idx, ins[0].shape[0]),)
 
 
+def _bwd_attend(node, ins):
+    """Recomputes att @ spread and hw[src] rather than keep (E, H*F) arrays on the tape."""
+    att, hw = ins
+    spread = np.asarray(node.attrs["spread"], dtype=np.float64)
+    src = np.asarray(node.attrs["src"], dtype=np.int64)
+    g = node.grad[np.asarray(node.attrs["segments"], dtype=np.int64)]
+    return ((g * hw[src]) @ spread.T, _segment_rows_sum(g * (att @ spread), src, hw.shape[0]))
+
+
 _BACKWARD = {
     "matmul": _bwd_matmul,
     "add": _bwd_add,
@@ -341,6 +370,7 @@ _BACKWARD = {
     "sum": lambda n, i: (np.full_like(i[0], float(n.grad[0, 0])),),
     "scalar_mul": lambda n, i: (n.grad * float(n.attrs["c"]),),
     "gather_rows": _bwd_gather_rows,
+    "attend": _bwd_attend,
     "clamp_min": lambda n, i: (n.grad * (i[0] >= float(n.attrs["c"])),),
     "transpose": lambda n, i: (n.grad.T.copy(),),
 }

@@ -349,19 +349,24 @@ def cmd_train(args) -> int:
     )
     walk_cfg = WalkConfig(walks_per_node=args.walks_per_node, walk_len=args.walk_len)
 
-    result = train(
-        train_graphs, val_graphs, cfg, model_cfg=model_cfg, walk_cfg=walk_cfg, ablate=ablate
-    )
-
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # each row is on disk once its epoch ends, so a failed run keeps the epochs it finished
+    with open(out / "history.csv", "w", encoding="utf-8") as history:
+        history.write("epoch,train_loss,val_loss\n")
+        history.flush()
+
+        def log_epoch(row, seconds):
+            history.write(f"{row['epoch']},{row['train_loss']!r},{row['val_loss']!r}\n")
+            history.flush()
+            print(f"epoch {row['epoch']}: train loss {row['train_loss']:.6g}, "
+                  f"val loss {row['val_loss']:.6g}, {seconds:.2f} s", file=sys.stderr)
+
+        result = train(train_graphs, val_graphs, cfg, model_cfg=model_cfg, walk_cfg=walk_cfg,
+                       ablate=ablate, on_epoch=log_epoch)
     ckpt = result.params.copy()
     ckpt["meta"] = _pack_meta(model_cfg, walk_cfg, ablate)
     save_checkpoint(ckpt, out / "best.ckpt")
-    with open(out / "history.csv", "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for row in result.history:
-            fh.write(f"{row['epoch']},{row['train_loss']!r},{row['val_loss']!r}\n")
     print(f"best epoch {result.best_epoch}; final val loss {result.best_val_loss!r}")
     return 0
 

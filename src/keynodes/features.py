@@ -118,15 +118,19 @@ def raw_walk_statistics(g: CascadeGraph, cfg: WalkConfig) -> np.ndarray:
         stuck |= ~move
     vis = visited.reshape(n, walks * steps)
     home = np.arange(n)[:, None]
-    vis_deg = outdeg[vis]
-    ordered = np.sort(np.hstack([home, vis]), axis=1)
     denom = max(n - 1, 1)
     stats = np.empty((n, STRUCT_DIM), dtype=np.float64)
     stats[:, 0] = outdeg / denom
     stats[:, 1] = g.in_degrees() / denom
+    # each (N, walks * steps) array goes once read, and the sort runs in place
+    vis_deg = outdeg[vis]
     stats[:, 2] = vis_deg.mean(axis=1)
     stats[:, 3] = vis_deg.max(axis=1)
+    del vis_deg
     stats[:, 4] = (vis == home).mean(axis=1)
+    ordered = np.hstack([home, vis])
+    del visited, vis
+    ordered.sort(axis=1)
     stats[:, 5] = (1 + (ordered[:, 1:] != ordered[:, :-1]).sum(axis=1)) / (walks * steps + 1)
     stats[:, 6] = (~stuck).reshape(n, walks).mean(axis=1)
     stats[:, 7] = depth_sum.reshape(n, walks).sum(axis=1) / (walks * steps)

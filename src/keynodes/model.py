@@ -189,7 +189,10 @@ def gat_layer(tape, h, src, dst, n_nodes, W, a_src, a_dst, heads, slope=0.2, blo
     destination's incoming messages; head outputs are concatenated and
     passed through elu.  The heads run together: one (L, H*F) projection,
     and a 0/1 (H*F, H) matrix marking each head's F columns that turns the
-    a vectors block-diagonal and spreads (E, H) attention over (E, H*F).
+    a vectors block-diagonal and, transposed, spreads (E, H) attention over
+    (E, H*F) inside the one ``attend`` op that weighs and sums the messages.
+    ``attend`` keeps no (E, H*F) array on the tape: its backward recomputes
+    the spread attention and the gathered source rows.
 
     The projection and each node's head scores are computed once for all
     nodes; the per-message part runs over ``blocks`` (``message_blocks``,
@@ -204,9 +207,8 @@ def gat_layer(tape, h, src, dst, n_nodes, W, a_src, a_dst, heads, slope=0.2, blo
     to_dst, to_src = (
         tape.record("matmul", [hw, tape.record("mul", [vec, mask])]) for vec in (a_dst, a_src)
     )
-    spread = tape.leaf(head_cols.T)
 
-    def attend(src, dst, seg, num):
+    def messages(src, dst, seg, num):
         logits = tape.record(
             "add",
             [tape.record("gather_rows", [to_dst], indices=dst),
@@ -218,19 +220,18 @@ def gat_layer(tape, h, src, dst, n_nodes, W, a_src, a_dst, heads, slope=0.2, blo
             segments=seg,
             num_segments=num,
         )
-        msgs = tape.record(
-            "mul",
-            [tape.record("matmul", [att, spread]), tape.record("gather_rows", [hw], indices=src)],
+        summed = tape.record(
+            "attend", [att, hw], spread=head_cols.T, src=src, segments=seg, num_segments=num
         )
-        return tape.record("elu", [tape.record("segment_sum", [msgs], segments=seg, num_segments=num)])
+        return tape.record("elu", [summed])
 
     if tape.grad:
-        return attend(src, dst, dst, n_nodes)
+        return messages(src, dst, dst, n_nodes)
     out = np.empty((n_nodes, cols))
     if blocks is None:
         blocks = message_blocks(src, dst, n_nodes, cols)
     for lo, hi, src_b, dst_b in blocks:
-        out[lo:hi] = attend(src_b, dst_b, dst_b - lo, hi - lo)
+        out[lo:hi] = messages(src_b, dst_b, dst_b - lo, hi - lo)
     return out
 
 

@@ -9,6 +9,7 @@ upstream of it, itself included) plus lambda times the expected seed count.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -180,6 +181,7 @@ def train(
     walk_cfg: WalkConfig | None = None,
     ablate=frozenset(),
     init: ParamStore | None = None,
+    on_epoch=None,
 ) -> TrainResult:
     """Batch training with early stopping on mean validation loss.
 
@@ -187,6 +189,8 @@ def train(
     and the per-epoch shuffle all derive from it.  Returns the parameters of
     the best validation epoch.  ``ablate`` picks the tensors ``init_params``
     creates; an ``init`` store must hold exactly those (ShapeError if not).
+    ``on_epoch(row, seconds)``, if given, sees each history row as its epoch
+    ends, with the epoch's wall time.
     """
     if not train_graphs or not val_graphs:
         raise DataError("need at least one training and one validation graph")
@@ -204,6 +208,7 @@ def train(
     result = TrainResult(params.copy())
     bad_epochs = 0
     for epoch in range(1, cfg.epochs + 1):
+        started = time.perf_counter()
         order = shuffle_rng.permutation(len(train_b))
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
@@ -236,6 +241,8 @@ def train(
         val_loss /= len(val_b)
 
         result.history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
+        if on_epoch is not None:
+            on_epoch(result.history[-1], time.perf_counter() - started)
         if val_loss < result.best_val_loss:
             result.best_val_loss = val_loss
             result.best_epoch = epoch

@@ -211,13 +211,20 @@ def _op_case(name):
             return tape.record("scalar_mul", [x], c=-1.7)
         if name == "gather_rows":
             return tape.record("gather_rows", [x], indices=idx)
+        if name == "attend":  # sources 0 and 2 repeat; node 1 sends nothing
+            spread = np.kron(np.eye(2), np.ones((1, 2)))
+            src = np.array([0, 2, 2, 3, 0, 2])
+            return tape.record(
+                "attend", [x, ids["hw"]], spread=spread, src=src, segments=seg, num_segments=3
+            )
         if name == "clamp_min":
             return tape.record("clamp_min", [x], c=0.3)
         if name == "transpose":
             return tape.record("transpose", [x])
         raise AssertionError(name)
 
-    params = ParamStore({"x": rng.normal(size=(6, 4 if name == "row_softmax_grouped" else 3))})
+    cols = {"row_softmax_grouped": 4, "attend": 2}.get(name, 3)
+    params = ParamStore({"x": rng.normal(size=(6, cols))})
     if name == "matmul":
         params["y"] = rng.normal(size=(3, 4))
     if name == "concat":
@@ -226,6 +233,8 @@ def _op_case(name):
         params["brow"] = rng.normal(size=(1, 3))
     if name == "mul":
         params["bcol"] = rng.normal(size=(6, 1))
+    if name == "attend":
+        params["hw"] = rng.normal(size=(4, 4))
 
     def f(ps, want_grad=False):
         tape = Tape()
@@ -244,7 +253,7 @@ def _op_case(name):
 ALL_OPS = [
     "matmul", "add", "mul", "concat", "leaky_relu", "elu", "relu", "sigmoid",
     "exp", "log", "row_softmax", "segment_softmax", "segment_sum", "layer_norm",
-    "mean_rows", "sum", "scalar_mul", "gather_rows", "clamp_min", "transpose",
+    "mean_rows", "sum", "scalar_mul", "gather_rows", "attend", "clamp_min", "transpose",
 ]
 
 

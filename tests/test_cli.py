@@ -157,6 +157,33 @@ class TestTrain:
     def test_missing_dataset_exit_2(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path)]) == 2
 
+    def test_failed_epoch_keeps_finished_rows(self, dataset, tmp_path, capsys, monkeypatch):
+        """history.csv gains each row as its epoch ends: a parameter driven
+        non-finite in epoch 2 leaves the header and epoch 1's row, as a clean
+        one-epoch run writes them, and stderr logs the finished epoch."""
+        base = ["train", "--data", str(dataset), "--batch-size", "7", "--seed", "3"]
+        assert main(base + ["--out", str(tmp_path / "clean"), "--epochs", "1"]) == 0
+        clean = capsys.readouterr()
+        assert clean.err.startswith("epoch 1: train loss ") and clean.err.count("\n") == 1
+        steps = []
+
+        def poisoning(params, grads, state, lr):  # one step per epoch: the 7 graphs are one batch
+            adam_step(params, grads, state, lr)
+            steps.append(state.t)
+            if state.t == 2:
+                params["struct.score.b"] = np.full((1, 1), np.nan)
+            return params
+
+        adam_step = training.adam_step
+        monkeypatch.setattr(training, "adam_step", poisoning)
+        assert main(base + ["--out", str(tmp_path / "failed"), "--epochs", "3"]) == 3
+        err = capsys.readouterr().err
+        assert steps == [1, 2] and "parameter 'struct.score.b' during epoch 2" in err
+        assert err.startswith("epoch 1: train loss ") and "epoch 2:" not in err
+        history = (tmp_path / "failed" / "history.csv").read_bytes()
+        assert history == (tmp_path / "clean" / "history.csv").read_bytes()
+        assert history.count(b"\n") == 2
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--lr", "-1"), ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"), ("--lam", "nan")],

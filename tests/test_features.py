@@ -240,6 +240,21 @@ class TestWalks:
             tracemalloc.stop()
         assert peak < 20 * 2**20, peak
 
+    def test_peak_under_four_and_a_half_walk_arrays(self):
+        """The visit degrees go before the sort, the sort runs in place and the visit
+        record goes once its copy to sort exists, so the statistics never hold more
+        than the walk loop does: under 4.5 (N, walks * steps) int64 arrays."""
+        import tracemalloc
+
+        g, cfg = synth_cascade(5000, 0.1, 0.5, 1), WalkConfig(rng_seed=1)
+        tracemalloc.start()
+        try:
+            raw_walk_statistics(g, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * g.n * cfg.walks_per_node * cfg.walk_len * 8, peak
+
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_edgeless_and_sink_only_nodes(self, symmetric):
         cfg = WalkConfig(walks_per_node=3, walk_len=5, rng_seed=4)

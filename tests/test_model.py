@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import path_graph, random_digraph
 
+from keynodes import model
 from keynodes.autodiff import ParamStore, Tape
 from keynodes.errors import DataError, ShapeError
 from keynodes.features import featurize_graph, WalkConfig
@@ -20,6 +21,7 @@ from keynodes.model import (
     init_params,
     memory_enhance,
     memory_read,
+    message_blocks,
     mmen_forward,
     param_shapes,
     score_head,
@@ -155,7 +157,97 @@ class TestFusedOpCounts:
         tape = Tape()
         fwd = mmen_forward(tape, g, user.values, struct.values, init_params(cfg, 0), cfg)
         coverage_loss(tape, fwd.score, g, 1.0, 1)
-        assert len(tape.nodes) == 168  # 424 unrolled, 240 with per-head leaves, 176 with conv_b
+        # 424 unrolled, 240 with per-head leaves, 176 with conv_b, 168 with five message ops
+        assert len(tape.nodes) == 152
+
+    def test_recording_tape_holds_no_message_array(self):
+        """The (E, H*F) spread attention, gathered source rows and messages are
+        computed inside ``attend`` and dropped: no tape value has that shape."""
+        g = synth_cascade(2000, 0.1, 0.3, 5)
+        cfg = ModelConfig()
+        user, struct = featurize_graph(g, WalkConfig(), 0, 0)
+        tape = Tape()
+        fwd = mmen_forward(tape, g, user.values, struct.values, init_params(cfg, 0), cfg)
+        coverage_loss(tape, fwd.score, g, 1.0, 1)
+        messages = (len(attention_indices(g)[0]), cfg.hidden)
+        assert [n.op for n in tape.nodes if n.value.shape == messages] == []
+        assert [n.op for n in tape.nodes].count("attend") == 2 * N_LAYERS
+
+
+def five_op_messages(tape, att, hw, spread, src, seg, num):
+    """The message pass as five tape ops: a spread leaf, matmul, gather, mul, segment sum."""
+    spread_att = tape.record("matmul", [att, tape.leaf(spread)])
+    msgs = tape.record("mul", [spread_att, tape.record("gather_rows", [hw], indices=src)])
+    return tape.record("segment_sum", [msgs], segments=seg, num_segments=num)
+
+
+def attend_messages(tape, att, hw, spread, src, seg, num):
+    return tape.record("attend", [att, hw], spread=spread, src=src, segments=seg, num_segments=num)
+
+
+class TestAttendOp:
+    """``attend`` equals the five ops it replaced, bit for bit."""
+
+    HEADS, F = 4, 3
+    # 0 sends to 1..5 (a repeated source); 0 and 6 have only their self-loops
+    GRAPH = CascadeGraph(9, [(0, i) for i in range(1, 6)] + [(6, 7), (1, 7), (7, 8), (0, 8)])
+
+    def inputs(self, seed):
+        g = self.GRAPH
+        src, dst = attention_indices(g)
+        rng = np.random.default_rng(seed)
+        att = rng.uniform(size=(src.size, self.HEADS))
+        hw = rng.normal(size=(g.n, self.HEADS * self.F))
+        # transposed like gat_layer's, so BLAS sees the same layout
+        spread = np.kron(np.eye(self.HEADS), np.ones((self.F, 1))).T
+        return att, hw, spread, src, dst
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_value_and_gradients_match_five_ops(self, seed):
+        att, hw, spread, src, dst = self.inputs(seed)
+        assert np.bincount(src).max() > 1 and np.bincount(dst).min() == 1
+        weight = np.random.default_rng(seed + 10).normal(size=hw.shape)
+        got = []
+        for build in (five_op_messages, attend_messages):
+            tape = Tape()
+            a, h = tape.leaf(att), tape.leaf(hw)
+            out = build(tape, a, h, spread, src, dst, self.GRAPH.n)
+            tape.backward(tape.record("sum", [tape.record("mul", [out, tape.leaf(weight)])]))
+            got.append([x.tobytes() for x in (tape.value(out), tape.nodes[a].grad, tape.nodes[h].grad)])
+        assert got[0] == got[1]
+
+    def test_no_grad_blocks_match_five_ops(self):
+        att, hw, spread, src, dst = self.inputs(4)
+        n = self.GRAPH.n
+        tape = Tape()
+        want = tape.value(attend_messages(tape, tape.leaf(att), tape.leaf(hw), spread, src, dst, n))
+        att = att[np.argsort(dst, kind="stable")]
+        out, pos = np.empty_like(want), 0
+        blocks = message_blocks(src, dst, n, model.CELLS // 4)  # 4 messages a block
+        assert len(blocks) > 2
+        for lo, hi, src_b, dst_b in blocks:
+            args = (att[pos : pos + src_b.size], hw, spread, src_b, dst_b - lo, hi - lo)
+            pos += src_b.size
+            fused, five = (build(Tape(grad=False), *args) for build in (attend_messages, five_op_messages))
+            assert fused.tobytes() == five.tobytes()
+            out[lo:hi] = fused
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            (lambda a: {**a, "spread": a["spread"][:, 1:]}, "spread"),
+            (lambda a: {**a, "src": a["src"][1:]}, "src shape"),
+            (lambda a: {**a, "src": a["src"] + 9}, "source out of range"),
+            (lambda a: {**a, "segments": a["segments"] - 1}, "segment id out of range"),
+        ],
+    )
+    def test_bad_attrs_rejected(self, change, match):
+        att, hw, spread, src, dst = self.inputs(5)
+        attrs = change({"spread": spread, "src": src, "segments": dst, "num_segments": 9})
+        tape = Tape()
+        with pytest.raises(ShapeError, match=match):
+            tape.record("attend", [tape.leaf(att), tape.leaf(hw)], **attrs)
 
 
 class TestMemory:

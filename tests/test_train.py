@@ -363,8 +363,8 @@ class TestScoreGraph:
         [
             ("struct", frozenset(), 30),
             ("struct", frozenset({"no-memory"}), 22),
-            ("user", frozenset(), 88),
-            ("user", frozenset({"no-memory"}), 62),
+            ("user", frozenset(), 80),
+            ("user", frozenset({"no-memory"}), 54),
         ],
     )
     def test_nan_feature_keeps_op_message(self, view, ablate, node):
