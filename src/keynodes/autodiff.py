@@ -6,6 +6,9 @@ to accumulate gradients.  The op set is exactly what the scoring model
 needs, no more.  One op is fused to save memory: ``attend`` sums graph
 attention's weighted messages per destination and, in backward, recomputes
 its (messages, width) intermediates instead of keeping them on the tape.
+A recording tape drops each value once no backward can read it: the caller
+releases forward values no later op takes (`Tape.release`), and `backward`
+drops each node's value once its own step has run.
 
 Subgradient conventions: leaky_relu'(0) = alpha, relu'(0) = 0,
 clamp_min'(at the bound) = 1.
@@ -96,6 +99,16 @@ class TensorNode:
         self.grad = None
 
 
+class Released:
+    """What a released node keeps of its value: the shape, all that a backward
+    reading only shapes needs."""
+
+    __slots__ = ("shape",)
+
+    def __init__(self, shape):
+        self.shape = shape
+
+
 class Tape:
     """Append-only computation record; acyclic because inputs precede nodes.  With grad=False
     it records nothing: leaf and record return the array itself, freed once the caller drops it."""
@@ -103,6 +116,9 @@ class Tape:
     def __init__(self, grad: bool = True):
         self.grad = grad
         self.nodes: list[TensorNode] = []
+        self._read: set[int] = set()  # nodes whose values a recorded backward reads
+        self._bad: int | None = None  # lowest released node whose value was not finite
+        self._swept = False
 
     def leaf(self, value, name: str | None = None):
         if not self.grad:
@@ -111,7 +127,12 @@ class Tape:
         return len(self.nodes) - 1
 
     def value(self, nid) -> np.ndarray:
-        return self.nodes[nid].value if self.grad else nid
+        if not self.grad:
+            return nid
+        value = self.nodes[nid].value
+        if isinstance(value, Released):
+            raise ShapeError(f"tape node {nid} was released")
+        return value
 
     def record(self, op: str, inputs, **attrs):
         if op not in _FORWARD:
@@ -120,37 +141,70 @@ class Tape:
             return _FORWARD[op](inputs, attrs)
         ids = tuple(int(i) for i in inputs)
         vals = [self.nodes[i].value for i in ids]
+        if any(isinstance(v, Released) for v in vals):
+            raise ShapeError(f"{op}: an input was released")
         value = _FORWARD[op](vals, attrs)
+        if "x" in _READS[op]:
+            self._read.update(ids)
         self.nodes.append(TensorNode(op, value, ids, attrs))
         return len(self.nodes) - 1
+
+    def release(self, *ids) -> None:
+        """Drop these nodes' values and keep their shapes; the caller promises that no
+        later op takes them.  ShapeError if a backward reads one: the node's own (by
+        _READS) or one of an op already recorded on it."""
+        if not self.grad:
+            return
+        for nid in ids:
+            node = self.nodes[nid]
+            if nid in self._read or "y" in _READS.get(node.op, ""):
+                raise ShapeError(f"tape node {nid} ({node.op}): a backward reads its value")
+            if isinstance(node.value, Released):
+                continue
+            # first_nonfinite must still find it
+            if (self._bad is None or nid < self._bad) and not np.isfinite(node.value).all():
+                self._bad = nid
+            node.value = Released(node.value.shape)
 
     def backward(self, loss_id: int) -> None:
         """Reverse sweep from a scalar node.  Only leaves keep .grad (None if the loss
         does not depend on them): a non-leaf's is dropped once passed to its inputs.
-        No .grad is zero-filled, written in place, or shared by two leaves."""
+        No .grad is zero-filled, written in place, or shared by two leaves.  Each
+        non-leaf node but the loss drops its value once its step has run or been
+        skipped, since no step left reads it, so a tape sweeps only once."""
+        if self._swept:
+            raise ShapeError("backward: the tape was already swept and its values released")
         loss = self.nodes[loss_id]
         if loss.value.shape != (1, 1):
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.value.shape}")
+        self._swept = True
         for node in self.nodes:
             node.grad = None
         loss.grad = np.ones((1, 1))
         for nid in range(loss_id, -1, -1):
             node = self.nodes[nid]
-            if node.grad is None or node.op == "leaf":
+            if node.op == "leaf":
                 continue
-            in_vals = [self.nodes[i].value for i in node.inputs]
-            for iid, g in zip(node.inputs, _BACKWARD[node.op](node, in_vals)):
-                if g is None:
-                    continue
-                tgt = self.nodes[iid]
-                tgt.grad = g if tgt.grad is None else tgt.grad + g
-            node.grad = None
+            if node.grad is not None:
+                in_vals = [self.nodes[i].value for i in node.inputs]
+                for iid, g in zip(node.inputs, _BACKWARD[node.op](node, in_vals)):
+                    if g is None:
+                        continue
+                    tgt = self.nodes[iid]
+                    tgt.grad = g if tgt.grad is None else tgt.grad + g
+                node.grad = None
+            if nid != loss_id:
+                node.value = Released(node.value.shape)
 
 
 def first_nonfinite(tape: Tape) -> tuple[int, str] | None:
-    """(node id, op) of the first non-finite value on the tape, if any."""
+    """(node id, op) of the first non-finite value the tape recorded, released or not."""
+    if tape._swept:
+        raise ShapeError("first_nonfinite: backward has released the tape's values")
     for nid, node in enumerate(tape.nodes):
-        if not np.isfinite(node.value).all():
+        if nid == tape._bad or (
+            not isinstance(node.value, Released) and not np.isfinite(node.value).all()
+        ):
             return nid, node.op
     return None
 
@@ -286,6 +340,32 @@ _FORWARD = {
 
 # -- backward -------------------------------------------------------------------
 
+# What each op's backward reads besides its output's gradient: "x" its inputs'
+# values, "y" its own value.  An op with neither reads at most its inputs' shapes.
+_READS = {
+    "matmul": "x",
+    "add": "",
+    "mul": "x",
+    "concat": "",
+    "leaky_relu": "x",
+    "elu": "y",
+    "relu": "x",
+    "sigmoid": "y",
+    "exp": "y",
+    "log": "x",
+    "row_softmax": "y",
+    "segment_softmax": "y",
+    "segment_sum": "",
+    "layer_norm": "xy",
+    "mean_rows": "",
+    "sum": "",
+    "scalar_mul": "",
+    "gather_rows": "",
+    "attend": "x",
+    "clamp_min": "x",
+    "transpose": "",
+}
+
 
 def _bwd_matmul(node, ins):
     a, b = ins
@@ -357,7 +437,8 @@ _BACKWARD = {
     "leaky_relu": lambda n, i: (
         n.grad * np.where(i[0] > 0, 1.0, float(n.attrs.get("alpha", 0.2))),
     ),
-    "elu": lambda n, i: (n.grad * np.where(i[0] > 0, 1.0, n.value + 1.0),),
+    # elu(x) > 0 exactly where x > 0, as expm1(x) <= 0 for x <= 0
+    "elu": lambda n, i: (n.grad * np.where(n.value > 0, 1.0, n.value + 1.0),),
     "relu": lambda n, i: (n.grad * (i[0] > 0),),
     "sigmoid": lambda n, i: (n.grad * n.value * (1.0 - n.value),),
     "exp": lambda n, i: (n.grad * n.value,),
@@ -367,7 +448,7 @@ _BACKWARD = {
     "segment_sum": _bwd_segment_sum,
     "layer_norm": _bwd_layer_norm,
     "mean_rows": lambda n, i: (np.repeat(n.grad / i[0].shape[0], i[0].shape[0], axis=0),),
-    "sum": lambda n, i: (np.full_like(i[0], float(n.grad[0, 0])),),
+    "sum": lambda n, i: (np.full(i[0].shape, float(n.grad[0, 0])),),
     "scalar_mul": lambda n, i: (n.grad * float(n.attrs["c"]),),
     "gather_rows": _bwd_gather_rows,
     "attend": _bwd_attend,

@@ -116,6 +116,7 @@ def raw_walk_statistics(g: CascadeGraph, cfg: WalkConfig) -> np.ndarray:
         depth = np.where(move, depth + 1, 0)
         depth_sum = depth_sum + depth
         stuck |= ~move
+    del start, cur, deg, move, off, nxt, depth
     vis = visited.reshape(n, walks * steps)
     home = np.arange(n)[:, None]
     denom = max(n - 1, 1)

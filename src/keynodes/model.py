@@ -192,7 +192,9 @@ def gat_layer(tape, h, src, dst, n_nodes, W, a_src, a_dst, heads, slope=0.2, blo
     a vectors block-diagonal and, transposed, spreads (E, H) attention over
     (E, H*F) inside the one ``attend`` op that weighs and sums the messages.
     ``attend`` keeps no (E, H*F) array on the tape: its backward recomputes
-    the spread attention and the gathered source rows.
+    the spread attention and the gathered source rows.  A recording tape
+    releases the gathered ends, the leaky_relu output and the attend output
+    once their one consumer is recorded, as no backward reads them.
 
     The projection and each node's head scores are computed once for all
     nodes; the per-message part runs over ``blocks`` (``message_blocks``,
@@ -209,21 +211,19 @@ def gat_layer(tape, h, src, dst, n_nodes, W, a_src, a_dst, heads, slope=0.2, blo
     )
 
     def messages(src, dst, seg, num):
-        logits = tape.record(
-            "add",
-            [tape.record("gather_rows", [to_dst], indices=dst),
-             tape.record("gather_rows", [to_src], indices=src)],
-        )
-        att = tape.record(
-            "segment_softmax",
-            [tape.record("leaky_relu", [logits], alpha=slope)],
-            segments=seg,
-            num_segments=num,
-        )
+        ends = (tape.record("gather_rows", [to_dst], indices=dst),
+                tape.record("gather_rows", [to_src], indices=src))
+        logits = tape.record("add", ends)
+        tape.release(*ends)
+        scaled = tape.record("leaky_relu", [logits], alpha=slope)
+        att = tape.record("segment_softmax", [scaled], segments=seg, num_segments=num)
+        tape.release(scaled)
         summed = tape.record(
             "attend", [att, hw], spread=head_cols.T, src=src, segments=seg, num_segments=num
         )
-        return tape.record("elu", [summed])
+        out = tape.record("elu", [summed])
+        tape.release(summed)
+        return out
 
     if tape.grad:
         return messages(src, dst, dst, n_nodes)
@@ -249,6 +249,7 @@ def memory_read(tape, h, slots, conv_w):
     groups = tape.value(conv_w).shape[0]
     logits = tape.record("matmul", [h, tape.record("transpose", [slots])])
     probs = tape.record("row_softmax", [logits], group=groups)
+    tape.release(logits)  # row_softmax's backward reads its output
     slot_group = np.repeat(np.arange(groups), tape.value(slots).shape[0] // groups)
     scale = tape.record("gather_rows", [conv_w], indices=slot_group)
     return tape.record("matmul", [probs, tape.record("mul", [slots, scale])])
@@ -262,9 +263,13 @@ def memory_enhance(tape, h, f_m):
 def enhance_rows(tape, h, slots, conv_w):
     """memory_enhance(h, memory_read(h, slots, conv_w)); a forward-only tape
     runs it over blocks of h's rows, each with at most CELLS (N, G*b)
-    similarity cells, and a recording tape as one block."""
+    similarity cells, and a recording tape as one block, releasing the read
+    once it is added to h."""
     if tape.grad:
-        return memory_enhance(tape, h, memory_read(tape, h, slots, conv_w))
+        read = memory_read(tape, h, slots, conv_w)
+        out = memory_enhance(tape, h, read)
+        tape.release(read)
+        return out
     out = np.empty_like(h)
     cuts = row_cuts(np.arange(len(h) + 1), len(slots))
     for lo, hi in zip(cuts, cuts[1:]):
@@ -334,13 +339,9 @@ def mmen_forward(
             raise ShapeError(
                 f"{view} features have shape {feats.shape}, expected {(g.n, f_in)}"
             )
-        h = tape.record(
-            "add",
-            [
-                tape.record("matmul", [tape.leaf(feats), binding[f"{view}.proj.W"]]),
-                binding[f"{view}.proj.b"],
-            ],
-        )
+        proj = tape.record("matmul", [tape.leaf(feats), binding[f"{view}.proj.W"]])
+        h = tape.record("add", [proj, binding[f"{view}.proj.b"]])
+        tape.release(proj)
         for layer in range(N_LAYERS):
             gat = [binding[f"{view}.gat{layer}.{t}"] for t in ("W", "a_src", "a_dst")]
             h = gat_layer(tape, h, src, dst, g.n, *gat, cfg.heads, slope=LEAKY_SLOPE, blocks=blocks)

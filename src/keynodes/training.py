@@ -189,8 +189,9 @@ def train(
     and the per-epoch shuffle all derive from it.  Returns the parameters of
     the best validation epoch.  ``ablate`` picks the tensors ``init_params``
     creates; an ``init`` store must hold exactly those (ShapeError if not).
-    ``on_epoch(row, seconds)``, if given, sees each history row as its epoch
-    ends, with the epoch's wall time.
+    ``on_epoch(row, seconds, grad_norm)``, if given, sees each history row as
+    its epoch ends, with the epoch's wall time and the mean L2 norm of its
+    batch gradients (each the sum over the batch's graphs, all tensors flat).
     """
     if not train_graphs or not val_graphs:
         raise DataError("need at least one training and one validation graph")
@@ -210,7 +211,7 @@ def train(
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
         order = shuffle_rng.permutation(len(train_b))
-        epoch_loss = 0.0
+        epoch_loss, norms = 0.0, []
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             grads_sum: dict[str, np.ndarray] | None = None
@@ -229,6 +230,7 @@ def train(
             bad = next((name for name, g in grads_sum.items() if not np.isfinite(g).all()), None)
             if bad is not None:
                 raise NumericError(f"non-finite gradient of parameter {bad!r} in epoch {epoch}")
+            norms.append(math.sqrt(sum(float(np.vdot(g, g)) for g in grads_sum.values())))
             adam_step(params, grads_sum, adam, cfg.lr)
         train_loss = epoch_loss / len(train_b)
 
@@ -242,7 +244,7 @@ def train(
 
         result.history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
         if on_epoch is not None:
-            on_epoch(result.history[-1], time.perf_counter() - started)
+            on_epoch(result.history[-1], time.perf_counter() - started, sum(norms) / len(norms))
         if val_loss < result.best_val_loss:
             result.best_val_loss = val_loss
             result.best_epoch = epoch

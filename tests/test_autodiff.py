@@ -1,5 +1,7 @@
+import tracemalloc
 import warnings
 import zlib
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -7,8 +9,11 @@ from conftest import HOSTILE_CASES, hostile_checkpoint
 
 from keynodes.autodiff import (
     _BACKWARD,
+    _FORWARD,
+    _READS,
     CHECKPOINT_MAGIC,
     ParamStore,
+    Released,
     Tape,
     _segment_rows_max,
     _segment_rows_sum,
@@ -17,11 +22,18 @@ from keynodes.autodiff import (
     load_checkpoint,
     save_checkpoint,
 )
-from keynodes.errors import DataError, ShapeError
+from keynodes.errors import DataError, NumericError, ShapeError
 from keynodes.features import WalkConfig, featurize_graph
 from keynodes.graphs import synth_cascade
-from keynodes.model import ModelConfig, bind_params, init_params, mmen_forward
-from keynodes.training import coverage_loss
+from keynodes.model import (
+    ModelConfig,
+    bind_params,
+    collect_grads,
+    init_params,
+    mmen_forward,
+    param_shapes,
+)
+from keynodes.training import TrainConfig, coverage_loss, score_graph, train
 
 
 class TestForward:
@@ -512,3 +524,172 @@ class TestGradientRelease:
         for i in leaves:
             want, got = kept.get(i), tape.nodes[i].grad
             assert (got is None) if want is None else np.array_equal(got, want), i
+
+
+def _keep_everything_backward(tape, loss_id):
+    """The reverse sweep of a tape that keeps every value, with elu's backward
+    masking on its input."""
+    for node in tape.nodes:
+        node.grad = None
+    tape.nodes[loss_id].grad = np.ones((1, 1))
+    for nid in range(loss_id, -1, -1):
+        node = tape.nodes[nid]
+        if node.grad is None or node.op == "leaf":
+            continue
+        ins = [tape.nodes[i].value for i in node.inputs]
+        if node.op == "elu":
+            grads = (node.grad * np.where(ins[0] > 0, 1.0, node.value + 1.0),)
+        else:
+            grads = _BACKWARD[node.op](node, ins)
+        for iid, g in zip(node.inputs, grads):
+            if g is not None:
+                tgt = tape.nodes[iid]
+                tgt.grad = g if tgt.grad is None else tgt.grad + g
+        node.grad = None
+
+
+def keep_everything(monkeypatch):
+    """From here on Tape keeps every value: release does nothing, and backward
+    is the sweep above."""
+    monkeypatch.setattr(Tape, "release", lambda self, *ids: None)
+    monkeypatch.setattr(Tape, "backward", _keep_everything_backward)
+
+
+@lru_cache(maxsize=2)
+def _cascade(n):
+    g = synth_cascade(n, 0.1, 0.5, 1)
+    user, struct = featurize_graph(g, WalkConfig(), 0, 0)
+    return g, user.values, struct.values
+
+
+def _loss_and_grads(n, ablate):
+    """Bytes of one graph's loss and of every parameter gradient."""
+    g, user, struct = _cascade(n)
+    cfg = ModelConfig()
+    keep = param_shapes(cfg, ablate)
+    params = ParamStore({k: v for k, v in init_params(cfg, 0).items() if k in keep})
+    tape = Tape()
+    binding = bind_params(tape, params)
+    fwd = mmen_forward(tape, g, user, struct, params, cfg, binding=binding)
+    loss = coverage_loss(tape, fwd.score, g, 1.0, 1)
+    tape.backward(loss)
+    return [tape.value(loss).tobytes()] + [x.tobytes() for x in collect_grads(tape, binding).values()]
+
+
+class TestValueRelease:
+    """A recording tape drops each value once no backward can read it, and
+    every loss and gradient keeps its bits."""
+
+    def test_read_table_covers_every_op(self):
+        assert set(_READS) == set(_FORWARD)
+
+    def test_release_contract(self):
+        tape = Tape()
+        x = tape.leaf(np.arange(4.0).reshape(2, 2))
+        with pytest.raises(ShapeError, match="reads its value"):
+            tape.release(tape.record("sigmoid", [x]))  # its own backward reads it
+        read = tape.record("add", [x, x])
+        tape.record("mul", [read, x])  # mul's backward reads its inputs
+        with pytest.raises(ShapeError, match="reads its value"):
+            tape.release(read)
+        dropped = tape.record("add", [x, x])
+        total = tape.record("sum", [dropped])  # sum's backward reads only its shape
+        tape.release(dropped)
+        tape.release(dropped)
+        assert tape.nodes[dropped].value.shape == (2, 2)
+        with pytest.raises(ShapeError, match="released"):
+            tape.value(dropped)
+        with pytest.raises(ShapeError, match="released"):
+            tape.record("exp", [dropped])
+        tape.backward(total)
+        assert np.array_equal(tape.nodes[x].grad, np.ones((2, 2)) * 2)
+        assert tape.value(total).item() == 12.0 and tape.value(x).shape == (2, 2)
+        assert all(isinstance(n.value, Released) for i, n in enumerate(tape.nodes)
+                   if n.op != "leaf" and i != total)
+        with pytest.raises(ShapeError, match="already swept"):
+            tape.backward(total)
+        with pytest.raises(ShapeError, match="released"):
+            first_nonfinite(tape)
+
+    def test_no_grad_release_does_nothing(self):
+        tape = Tape(grad=False)
+        y = tape.record("add", [tape.leaf(np.ones((2, 2))), tape.leaf(np.ones((1, 2)))])
+        tape.release(y)
+        assert np.array_equal(tape.value(y), np.full((2, 2), 2.0))
+
+    def test_elu_backward_masks_on_output_as_on_input(self):
+        x = np.array([[-0.0, 0.0, -5e-324, -1e-310, -1e-300, -1e-17, 5e-324, 1e-300,
+                       np.nan, -np.inf, np.inf, -40.0, 3.0]])
+        x = np.concatenate([x, np.random.default_rng(0).normal(size=(3, x.shape[1]))])
+        tape = Tape()
+        y = tape.record("elu", [tape.leaf(x)])
+        node = tape.nodes[y]
+        node.grad = np.random.default_rng(1).normal(size=x.shape)
+        (got,) = _BACKWARD["elu"](node, [x])
+        want = node.grad * np.where(x > 0, 1.0, node.value + 1.0)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [350, 5000])
+    @pytest.mark.parametrize("ablate", [frozenset(), frozenset({"no-memory"}), frozenset({"no-user"})])
+    def test_loss_and_gradients_equal_keep_everything_sweep(self, monkeypatch, n, ablate):
+        got = _loss_and_grads(n, ablate)
+        keep_everything(monkeypatch)
+        assert got == _loss_and_grads(n, ablate)
+
+    def test_two_graph_batch_trains_the_same_bytes(self, monkeypatch):
+        graphs = [synth_cascade(350, 0.1, 0.3, seed) for seed in (1, 2, 3)]
+        cfg = TrainConfig(batch_size=2, epochs=2, patience=2)
+
+        def run():
+            result = train(graphs[:2], graphs[2:], cfg, model_cfg=ModelConfig())
+            return result.history, [v.tobytes() for v in result.params.flat()]
+
+        got = run()
+        keep_everything(monkeypatch)
+        assert got == run()
+
+    def test_inf_in_released_memory_logits_keeps_its_node_id(self, monkeypatch):
+        """Huge memory slots overflow the memory similarity matmul, a node the
+        forward releases: it is named as a tape that keeps it names it."""
+        g = synth_cascade(60, 0.1, 0.3, 3)
+        user, struct = featurize_graph(g, WalkConfig(), 0, 0)
+        cfg = ModelConfig(hidden=16, heads=4, mem_groups=2, mem_slots=4)
+        params = init_params(cfg, 0)
+        params["struct.mem0.slots"] = np.full_like(params["struct.mem0.slots"], 1e308)
+
+        def first_bad():
+            tape = Tape()
+            with np.errstate(over="ignore", invalid="ignore"):
+                fwd = mmen_forward(tape, g, user.values, struct.values, params, cfg)
+                coverage_loss(tape, fwd.score, g, 1.0, 1)
+            bad = first_nonfinite(tape)
+            return bad, isinstance(tape.nodes[bad[0]].value, Released)
+
+        def score_error():
+            with pytest.raises(NumericError) as err, np.errstate(over="ignore", invalid="ignore"):
+                score_graph(g, params, cfg, user.values, struct.values)
+            return str(err.value)
+
+        (nid, op), released = first_bad()
+        assert op == "matmul" and released
+        message = score_error()
+        assert message == f"non-finite score from op 'matmul' (tape node {nid})"
+        keep_everything(monkeypatch)
+        assert first_bad() == ((nid, op), False)
+        assert score_error() == message
+
+    def test_held_values_and_backward_peak_at_5000_nodes(self):
+        g, user, struct = _cascade(5000)
+        cfg = ModelConfig()
+        params = init_params(cfg, 0)
+        tracemalloc.start()
+        try:
+            tape = Tape()
+            fwd = mmen_forward(tape, g, user, struct, params, cfg)
+            loss = coverage_loss(tape, fwd.score, g, 1.0, 1)
+            held = sum(n.value.nbytes for n in tape.nodes if not isinstance(n.value, Released))
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held <= 90e6 and peak <= 100e6, (held, peak)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -156,6 +157,20 @@ class TestTrain:
 
     def test_missing_dataset_exit_2(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path)]) == 2
+
+    def test_epoch_line_reports_gradient_norm(self, dataset, tmp_path, capsys):
+        argv = ["train", "--data", str(dataset), "--out", str(tmp_path), "--epochs", "2", "--seed", "3"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert len(lines) == 2 and out.startswith("best epoch ")
+        for epoch, line in enumerate(lines, 1):
+            m = re.fullmatch(
+                r"epoch (\d+): train loss \S+, val loss \S+, grad norm (\S+), \d+\.\d\d s", line
+            )
+            assert m and int(m[1]) == epoch and float(m[2]) > 0, line
+        history = (tmp_path / "history.csv").read_text().splitlines()
+        assert history[0] == "epoch,train_loss,val_loss" and len(history) == 3
 
     def test_failed_epoch_keeps_finished_rows(self, dataset, tmp_path, capsys, monkeypatch):
         """history.csv gains each row as its epoch ends: a parameter driven

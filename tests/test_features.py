@@ -255,6 +255,20 @@ class TestWalks:
             tracemalloc.stop()
         assert peak < 4.5 * g.n * cfg.walks_per_node * cfg.walk_len * 8, peak
 
+    def test_walk_loop_arrays_go_before_the_statistics(self):
+        """The per-walk arrays of the loop are deleted once it ends, so the
+        statistics peak under 3.6 (N, walks * steps) arrays (3.9 with them)."""
+        import tracemalloc
+
+        g, cfg = synth_cascade(5000, 0.1, 0.5, 1), WalkConfig(rng_seed=1)
+        tracemalloc.start()
+        try:
+            raw_walk_statistics(g, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.6 * g.n * cfg.walks_per_node * cfg.walk_len * 8, peak
+
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_edgeless_and_sink_only_nodes(self, symmetric):
         cfg = WalkConfig(walks_per_node=3, walk_len=5, rng_seed=4)

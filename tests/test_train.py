@@ -254,6 +254,24 @@ class TestTrain:
         with pytest.raises(ShapeError, match="fusion.b"):
             train(graphs[:1], graphs[1:], TrainConfig(epochs=1), model_cfg=TINY, init=partial)
 
+    def test_on_epoch_sees_mean_batch_gradient_norm(self, monkeypatch):
+        graphs = tiny_dataset(6, seed=6)
+        cfg = TrainConfig(epochs=2, batch_size=2, patience=2, rng_seed=0)
+        norms, seen = [], []
+        step = training.adam_step
+
+        def spy(params, grads, state, lr):
+            norms.append(np.linalg.norm(np.concatenate([g.ravel() for g in grads.values()])))
+            return step(params, grads, state, lr)
+
+        monkeypatch.setattr(training, "adam_step", spy)
+        result = train(graphs[:5], graphs[5:], cfg, model_cfg=TINY,
+                       on_epoch=lambda row, seconds, grad_norm: seen.append((row, grad_norm)))
+        assert len(norms) == 6  # 5 graphs in batches of 2: 3 steps an epoch
+        assert [row for row, _ in seen] == result.history
+        assert [gn for _, gn in seen] == pytest.approx([np.mean(norms[:3]), np.mean(norms[3:])],
+                                                       rel=1e-12)
+
     def test_nonfinite_gradient_named_and_not_applied(self, monkeypatch):
         graphs = tiny_dataset(2, seed=4)
         cfg = TrainConfig(epochs=2, rng_seed=0)
