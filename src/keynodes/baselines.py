@@ -46,8 +46,9 @@ def degree_centrality(g: CascadeGraph) -> RankedScores:
 def kshell(g: CascadeGraph) -> RankedScores:
     """Undirected core number by bucket-queue peeling (Batagelj &
     Zaversnik 2003), O(N + E); score is the shell index."""
-    adj = [a.tolist() for a in g.und_adj]
-    deg = g.undirected().out_degrees().tolist()
+    indptr, indices = g.undirected().csr
+    ptr, nbrs = indptr.tolist(), indices.tolist()
+    deg = np.diff(indptr).tolist()
     # vert lists the nodes by current degree; start[d] is the index in vert
     # of the first node of degree d, pos[v] the index of v
     vert = sorted(range(g.n), key=deg.__getitem__)
@@ -56,7 +57,7 @@ def kshell(g: CascadeGraph) -> RankedScores:
         pos[v] = i
     start = np.searchsorted([deg[v] for v in vert], np.arange(max(deg) + 1)).tolist()
     for v in vert:  # swaps only touch entries after v
-        for u in adj[v]:
+        for u in nbrs[ptr[v] : ptr[v + 1]]:
             du = deg[u]
             if du > deg[v]:
                 # move u to the front of its bucket, then into the bucket below

@@ -9,6 +9,7 @@ sidecar label list for reporting.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,7 +87,6 @@ class CascadeGraph:
         self.users = tuple(users) if users is not None else None
         self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
         self._csr = None
-        self._out = None
         self._und_graph = None
         self._rev_graph = None
         self._hops = None
@@ -103,24 +103,6 @@ class CascadeGraph:
             indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=self.n))))
             self._csr = indptr, dst[np.lexsort((dst, src))]
         return self._csr
-
-    @property
-    def out_adj(self):
-        """Per node, the ascending array of its out-neighbours."""
-        if self._out is None:
-            indptr, indices = self.csr
-            self._out = tuple(np.split(indices, indptr[1:-1]))
-        return self._out
-
-    @property
-    def in_adj(self):
-        """Per node, the ascending array of its in-neighbours."""
-        return self.reversed().out_adj
-
-    @property
-    def und_adj(self):
-        """Undirected simple adjacency (reciprocal edges collapse)."""
-        return self.undirected().out_adj
 
     def out_degrees(self) -> np.ndarray:
         return np.bincount(self.edges[:, 0], minlength=self.n)
@@ -159,7 +141,7 @@ class CascadeGraph:
         reaches every node leaves no other node without an in-edge, so only
         a sole in-degree-0 node can qualify and one BFS decides."""
         roots = np.flatnonzero(self.in_degrees() == 0)
-        dist = _bfs(self.out_adj, int(roots[0])) if len(roots) == 1 else {}
+        dist = _bfs(self.csr, int(roots[0])) if len(roots) == 1 else {}
         if len(dist) == self.n:
             self._hops = np.fromiter((dist[v] for v in range(self.n)), np.int64, self.n)
             return int(roots[0])
@@ -183,16 +165,17 @@ def _dedupe_edges(n, edges, delays):
     return edges[idx], delays[idx]
 
 
-def _bfs(adj, start, max_depth=None):
-    """Hop distances from start over the given adjacency; dict node -> dist."""
+def _bfs(csr, start, max_depth=None):
+    """Hop distances from start over CSR rows ``(indptr, indices)``; dict
+    node -> dist, in visiting order."""
+    indptr, indices = csr
     dist = {start: 0}
     q = deque([start])
     while q:
         v = q.popleft()
         if max_depth is not None and dist[v] >= max_depth:
             continue
-        for u in adj[v]:
-            u = int(u)
+        for u in indices[indptr[v] : indptr[v + 1]].tolist():
             if u not in dist:
                 dist[u] = dist[v] + 1
                 q.append(u)
@@ -202,7 +185,7 @@ def _bfs(adj, start, max_depth=None):
 def bfs_distances(g: CascadeGraph, start: int) -> np.ndarray:
     """Directed hop distance from start to every node; -1 if unreachable."""
     out = np.full(g.n, -1, dtype=np.int64)
-    for v, d in _bfs(g.out_adj, start).items():
+    for v, d in _bfs(g.csr, start).items():
         out[v] = d
     return out
 
@@ -213,7 +196,7 @@ def shortest_path_len(g: CascadeGraph, a: int, b: int) -> int | None:
     _check_node(g, b)
     if a == b:
         return 0
-    dist = _bfs(g.out_adj, a)
+    dist = _bfs(g.csr, a)
     return dist.get(b)
 
 
@@ -223,7 +206,7 @@ def out_neighborhood(g: CascadeGraph, v: int, d: int) -> set[int]:
     _check_node(g, v)
     if d < 1:
         raise DataError(f"hop radius must be >= 1, got {d}")
-    return set(_bfs(g.in_adj, v, max_depth=d))
+    return set(_bfs(g.reversed().csr, v, max_depth=d))
 
 
 def reachable_within(g: CascadeGraph, u: int, d: int) -> set[int]:
@@ -231,7 +214,7 @@ def reachable_within(g: CascadeGraph, u: int, d: int) -> set[int]:
     _check_node(g, u)
     if d < 1:
         raise DataError(f"hop radius must be >= 1, got {d}")
-    return set(_bfs(g.out_adj, u, max_depth=d))
+    return set(_bfs(g.csr, u, max_depth=d))
 
 
 def cover_pairs(g: CascadeGraph, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -352,6 +335,8 @@ def _parse_users(upath: Path, ids: dict[str, int], retweet_delay: list) -> dict[
             raise DataError(f"{upath}:{lineno}: bad integer {tok!r} in {col}") from None
         if val < 0:
             raise DataError(f"{upath}:{lineno}: {col} must be >= 0")
+        if val > sys.float_info.max:
+            raise DataError(f"{upath}:{lineno}: {col} is past the float64 range")
         return val
 
     def opt_bool(tok, lineno, col):
@@ -543,34 +528,39 @@ def synth_cascade(
         added += 1
 
     users = []
-    for v in range(n_nodes):
-        followers = int(
-            round(50.0 * index.weights[v] * np.exp(attr_noise * rng.standard_normal()))
-        )
-        name_len = int(rng.integers(3, 13))
-        name = _ALPHABET[rng.integers(0, 26, size=name_len)].tobytes().decode("ascii")
-        has_desc = rng.random() < 0.7
-        desc_len = int(rng.integers(5, 121))
-        description = (
-            _ALPHABET[rng.integers(0, 26, size=desc_len)].tobytes().decode("ascii")
-            if has_desc
-            else None
-        )
-        friends = int(rng.poisson(80))
-        statuses = int(rng.poisson(200))
-        verified = bool(followers > 2000 or rng.random() < 0.02)
-        geo = bool(rng.random() < 0.4)
-        drop = attr_noise > 0 and rng.random() < 0.05
-        users.append(
-            UserRecord(
-                name=name,
-                description=description,
-                followers_count=followers,
-                friends_count=None if drop else friends,
-                statuses_count=statuses,
-                verified=verified,
-                geo_enabled=geo,
-                retweet_delay_s=retweet_time[v] if v != 0 else None,
+    # a follower draw past float64 is a DataError below, not a warning
+    with np.errstate(over="ignore"):
+        for v in range(n_nodes):
+            followers = 50.0 * index.weights[v] * np.exp(attr_noise * rng.standard_normal())
+            if not math.isfinite(followers):
+                raise DataError(
+                    f"attr_noise {attr_noise} draws a follower count past the float64 range"
+                )
+            followers = int(round(followers))
+            name_len = int(rng.integers(3, 13))
+            name = _ALPHABET[rng.integers(0, 26, size=name_len)].tobytes().decode("ascii")
+            has_desc = rng.random() < 0.7
+            desc_len = int(rng.integers(5, 121))
+            description = (
+                _ALPHABET[rng.integers(0, 26, size=desc_len)].tobytes().decode("ascii")
+                if has_desc
+                else None
             )
-        )
+            friends = int(rng.poisson(80))
+            statuses = int(rng.poisson(200))
+            verified = bool(followers > 2000 or rng.random() < 0.02)
+            geo = bool(rng.random() < 0.4)
+            drop = attr_noise > 0 and rng.random() < 0.05
+            users.append(
+                UserRecord(
+                    name=name,
+                    description=description,
+                    followers_count=followers,
+                    friends_count=None if drop else friends,
+                    statuses_count=statuses,
+                    verified=verified,
+                    geo_enabled=geo,
+                    retweet_delay_s=retweet_time[v] if v != 0 else None,
+                )
+            )
     return CascadeGraph(n_nodes, edges, delays, users=users, source=0)

@@ -342,6 +342,7 @@ def mmen_forward(
         proj = tape.record("matmul", [tape.leaf(feats), binding[f"{view}.proj.W"]])
         h = tape.record("add", [proj, binding[f"{view}.proj.b"]])
         tape.release(proj)
+        del proj  # a forward-only tape's release is a no-op; free the (N, L) array here
         for layer in range(N_LAYERS):
             gat = [binding[f"{view}.gat{layer}.{t}"] for t in ("W", "a_src", "a_dst")]
             h = gat_layer(tape, h, src, dst, g.n, *gat, cfg.heads, slope=LEAKY_SLOPE, blocks=blocks)

@@ -34,6 +34,13 @@ def random_dag(rng, n, p):
     return CascadeGraph(n, edges)
 
 
+def csr_rows(g):
+    """Per node, the ascending array of its neighbours in ``g.csr``; pass
+    ``g.reversed()`` for in-neighbours and ``g.undirected()`` for both."""
+    indptr, indices = g.csr
+    return np.split(indices, indptr[1:-1])
+
+
 def edge_sets(g):
     return set(map(tuple, g.edges))
 

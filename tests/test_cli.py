@@ -115,6 +115,12 @@ class TestGen:
         assert main(["gen", "--out", str(tmp_path / "x"), flag, value]) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    def test_follower_draw_past_float64_exit_2(self, tmp_path, capsys):
+        argv = ["gen", "--out", str(tmp_path / "x"), "--n-graphs", "1", "--nodes-min", "50",
+                "--nodes-max", "50", "--attr-noise", "1000", "--seed", "1"]
+        assert main(argv) == 2
+        assert "attr_noise 1000.0 draws a follower count past the float64 range" in capsys.readouterr().err
+
     def test_default_gen_matches_choice_reference(self, tmp_path):
         argv = ["gen", "--out", str(tmp_path / "got"), "--n-graphs", "3", "--seed", "6"]
         assert main(argv) == 0

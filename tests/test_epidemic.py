@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import path_graph, star_graph
+from conftest import csr_rows, path_graph, star_graph
 
 from keynodes import epidemic
 from keynodes.epidemic import (
@@ -23,7 +23,7 @@ def solo_run(g, seeds, mu, rng):
     """Reference: one outbreak stepped alone, the per-run loop `sir_run`
     replaced; it draws rng.random(k) for the k candidates of each step."""
     seeds = np.asarray(sorted(set(int(v) for v in seeds)), dtype=np.int64)
-    und = g.und_adj
+    und = csr_rows(g.undirected())
     susceptible = np.ones(g.n, dtype=bool)
     susceptible[seeds] = False
     infected = seeds

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import path_graph, random_digraph, star_graph
+from conftest import csr_rows, path_graph, random_digraph, star_graph
 
 from keynodes.errors import DataError
 from keynodes.features import (
@@ -22,7 +22,7 @@ def loop_walk_statistics(g, cfg):
     """Reference walker: one Python loop per node and step, each node drawing
     from its own derived RNG stream.  Same distribution as
     raw_walk_statistics, different draws."""
-    adj = g.out_adj
+    adj = csr_rows(g)
     outdeg = g.out_degrees().astype(np.float64)
     indeg = g.in_degrees().astype(np.float64)
     denom = max(g.n - 1, 1)
@@ -160,12 +160,13 @@ class TestWalks:
         walks, length = 10, 4
         cfg = WalkConfig(walks_per_node=walks, walk_len=length, rng_seed=77)
         raw = raw_walk_statistics(g, cfg)
+        adj = csr_rows(g)
 
         def oracle_walk(start, rng):
             cur, depth, stuck = start, 0, False
             returns = depth_sum = 0
             for _ in range(length):
-                nbrs = g.out_adj[cur]
+                nbrs = adj[cur]
                 if nbrs.size == 0:
                     cur, depth, stuck = start, 0, True
                 else:

@@ -1,6 +1,9 @@
+import sys
+from collections import deque
+
 import numpy as np
 import pytest
-from conftest import edge_sets, loop_synth_cascade, path_graph, random_dag, random_digraph
+from conftest import csr_rows, edge_sets, loop_synth_cascade, path_graph, random_dag, random_digraph
 
 from keynodes import graphs
 from keynodes.errors import DataError
@@ -9,6 +12,7 @@ from keynodes.graphs import (
     _AttachIndex,
     UserRecord,
     bfs_distances,
+    cover_pairs,
     largest_component_size,
     load_cascade,
     out_neighborhood,
@@ -70,6 +74,23 @@ class TestLoad:
         d = write_cascade(tmp_path, ["0\t1\t5.0\n"], users)
         with pytest.raises(DataError, match="not in edge file"):
             load_cascade(d)
+
+    @pytest.mark.parametrize("col", [3, 4, 5])
+    def test_count_past_float64_rejected(self, tmp_path, col):
+        """A count that fits float64 loads; one past it would overflow the
+        user view's float matrix, so it is a DataError naming line and column."""
+        header = "id\tname\tdescription\tfollowers\tfriends\tstatuses\tverified\tgeo_enabled\n"
+        biggest = int(sys.float_info.max)
+        for count, ok in ((biggest, True), ("9" * 400, False)):
+            cells = ["1", "bob", "", "", "", "", "1", "0"]
+            cells[col] = str(count)
+            d = write_cascade(tmp_path, ["0\t1\t5.0\n"], [header, "\t".join(cells) + "\n"])
+            if ok:
+                assert getattr(load_cascade(d).users[1], graphs._PROFILE_FIELDS[col - 1]) == biggest
+            else:
+                name = header.split("\t")[col]
+                with pytest.raises(DataError, match=f"users.tsv:2: {name} is past the float64 range"):
+                    load_cascade(d)
 
     def test_missing_dir_rejected(self, tmp_path):
         with pytest.raises(DataError, match="missing edges.tsv"):
@@ -196,6 +217,38 @@ class TestQueries:
                 assert out_neighborhood(g, v, d) == {
                     u for u in range(g.n) if v in downstream[u]
                 }
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cover_pairs_keep_bfs_visiting_order(self, d):
+        """Each u's v come in the order a BFS over ascending neighbour lists
+        visits them, passed through a set: the order the coverage loss's
+        backward sums each u's gradient in, so every trained byte rests on it."""
+
+        def reference(g):
+            nbrs = [[] for _ in range(g.n)]
+            for a, b in g.edges.tolist():
+                nbrs[a].append(b)
+            us, vs = [], []
+            for u in range(g.n):
+                dist, q = {u: 0}, deque([u])
+                while q:
+                    x = q.popleft()
+                    if dist[x] < d:
+                        for y in sorted(nbrs[x]):
+                            if y not in dist:
+                                dist[y] = dist[x] + 1
+                                q.append(y)
+                cover = set(dist)
+                us += [u] * len(cover)
+                vs += list(cover)
+            return us, vs
+
+        rng = np.random.default_rng(21)
+        cases = [random_digraph(rng, int(rng.integers(5, 60)), float(rng.uniform(0.03, 0.2)))
+                 for _ in range(20)]
+        for g in cases + [synth_cascade(300, 0.1, 0.3, 5)]:
+            us, vs = cover_pairs(g, d)
+            assert (us.tolist(), vs.tolist()) == reference(g)
 
 
 class TestComponents:
@@ -352,7 +405,7 @@ def loop_find_source(g):
     reaches every node is the source, else 0."""
     indeg = g.in_degrees()
     for v in range(g.n):
-        if indeg[v] == 0 and len(graphs._bfs(g.out_adj, v)) == g.n:
+        if indeg[v] == 0 and len(graphs._bfs(g.csr, v)) == g.n:
             return v
     return 0
 
@@ -419,9 +472,8 @@ class TestConstruction:
             out[a].add(int(b))
             inn[b].add(int(a))
         und = [o | i for o, i in zip(out, inn)]
-        indptr, indices = g.csr
-        csr_adj = np.split(indices, indptr[1:-1])
-        for adj, ref in ((g.out_adj, out), (g.in_adj, inn), (g.und_adj, und), (csr_adj, out)):
+        for view, ref in ((g, out), (g.reversed(), inn), (g.undirected(), und)):
+            adj = csr_rows(view)
             assert len(adj) == g.n
             for arr, want in zip(adj, ref):
                 assert arr.dtype == np.int64
