@@ -6,9 +6,9 @@ to accumulate gradients.  The op set is exactly what the scoring model
 needs, no more.  One op is fused to save memory: ``attend`` sums graph
 attention's weighted messages per destination and, in backward, recomputes
 its (messages, width) intermediates instead of keeping them on the tape.
-A recording tape drops each value once no backward can read it: the caller
-releases forward values no later op takes (`Tape.release`), and `backward`
-drops each node's value once its own step has run.
+A recording tape keeps a value only while a backward may read it (see
+`_READS`); every other value lives as long as the caller's handle to it,
+and `backward` drops each node's value once its own step has run.
 
 Subgradient conventions: leaky_relu'(0) = alpha, relu'(0) = 0,
 clamp_min'(at the bound) = 1.
@@ -100,8 +100,8 @@ class TensorNode:
 
 
 class Released:
-    """What a released node keeps of its value: the shape, all that a backward
-    reading only shapes needs."""
+    """What a node keeps of a value no backward reads: the shape, all that a
+    backward reading only shapes needs."""
 
     __slots__ = ("shape",)
 
@@ -109,80 +109,76 @@ class Released:
         self.shape = shape
 
 
+class Handle:
+    """A recording tape's result: the node id, usable as an index
+    (``tape.nodes[h]``), and the output array, which lives as long as the
+    handle does unless the node keeps it too."""
+
+    __slots__ = ("id", "value")
+
+    def __init__(self, nid, value):
+        self.id = nid
+        self.value = value
+
+    def __index__(self):
+        return self.id
+
+
 class Tape:
-    """Append-only computation record; acyclic because inputs precede nodes.  With grad=False
-    it records nothing: leaf and record return the array itself, freed once the caller drops it."""
+    """Append-only computation record; acyclic because inputs precede nodes.
+
+    leaf and record return a Handle.  A node keeps its value only where a
+    backward reads it (by _READS): a leaf always, an op's output if its own
+    backward reads it, and an input once an op whose backward reads its
+    inputs is recorded on it.  Every other value lives as long as its
+    handle.  With grad=False the tape records nothing: leaf and record
+    return the array itself, freed once the caller drops it."""
 
     def __init__(self, grad: bool = True):
         self.grad = grad
         self.nodes: list[TensorNode] = []
-        self._read: set[int] = set()  # nodes whose values a recorded backward reads
-        self._bad: int | None = None  # lowest released node whose value was not finite
         self._swept = False
 
-    def leaf(self, value, name: str | None = None):
-        if not self.grad:
-            return _as2d(value)
-        self.nodes.append(TensorNode("leaf", _as2d(value), (), {"name": name}))
-        return len(self.nodes) - 1
+    def _push(self, op, value, inputs, attrs, keep) -> Handle:
+        self.nodes.append(TensorNode(op, value if keep else Released(value.shape), inputs, attrs))
+        return Handle(len(self.nodes) - 1, value)
 
-    def value(self, nid) -> np.ndarray:
+    def leaf(self, value, name: str | None = None):
+        value = _as2d(value)
         if not self.grad:
-            return nid
-        value = self.nodes[nid].value
-        if isinstance(value, Released):
-            raise ShapeError(f"tape node {nid} was released")
-        return value
+            return value
+        return self._push("leaf", value, (), {"name": name}, True)
+
+    def value(self, h) -> np.ndarray:
+        return h.value if self.grad else h
 
     def record(self, op: str, inputs, **attrs):
         if op not in _FORWARD:
             raise ShapeError(f"unknown op {op!r}")
         if not self.grad:
             return _FORWARD[op](inputs, attrs)
-        ids = tuple(int(i) for i in inputs)
-        vals = [self.nodes[i].value for i in ids]
-        if any(isinstance(v, Released) for v in vals):
-            raise ShapeError(f"{op}: an input was released")
-        value = _FORWARD[op](vals, attrs)
+        value = _FORWARD[op]([h.value for h in inputs], attrs)
         if "x" in _READS[op]:
-            self._read.update(ids)
-        self.nodes.append(TensorNode(op, value, ids, attrs))
-        return len(self.nodes) - 1
+            for h in inputs:
+                self.nodes[h.id].value = h.value
+        return self._push(op, value, tuple(h.id for h in inputs), attrs, "y" in _READS[op])
 
-    def release(self, *ids) -> None:
-        """Drop these nodes' values and keep their shapes; the caller promises that no
-        later op takes them.  ShapeError if a backward reads one: the node's own (by
-        _READS) or one of an op already recorded on it."""
-        if not self.grad:
-            return
-        for nid in ids:
-            node = self.nodes[nid]
-            if nid in self._read or "y" in _READS.get(node.op, ""):
-                raise ShapeError(f"tape node {nid} ({node.op}): a backward reads its value")
-            if isinstance(node.value, Released):
-                continue
-            # first_nonfinite must still find it
-            if (self._bad is None or nid < self._bad) and not np.isfinite(node.value).all():
-                self._bad = nid
-            node.value = Released(node.value.shape)
-
-    def backward(self, loss_id: int) -> None:
+    def backward(self, loss) -> None:
         """Reverse sweep from a scalar node.  Only leaves keep .grad (None if the loss
         does not depend on them): a non-leaf's is dropped once passed to its inputs.
         No .grad is zero-filled, written in place, or shared by two leaves.  Each
-        non-leaf node but the loss drops its value once its step has run or been
-        skipped, since no step left reads it, so a tape sweeps only once."""
+        non-leaf node drops its value once its own step has run or been skipped,
+        since no step left reads it, so a tape sweeps only once."""
         if self._swept:
             raise ShapeError("backward: the tape was already swept and its values released")
-        loss = self.nodes[loss_id]
-        if loss.value.shape != (1, 1):
-            raise ShapeError(f"backward needs a scalar loss, got shape {loss.value.shape}")
+        root = self.nodes[loss]
+        if root.value.shape != (1, 1):
+            raise ShapeError(f"backward needs a scalar loss, got shape {root.value.shape}")
         self._swept = True
         for node in self.nodes:
             node.grad = None
-        loss.grad = np.ones((1, 1))
-        for nid in range(loss_id, -1, -1):
-            node = self.nodes[nid]
+        root.grad = np.ones((1, 1))
+        for node in self.nodes[loss::-1]:
             if node.op == "leaf":
                 continue
             if node.grad is not None:
@@ -193,19 +189,27 @@ class Tape:
                     tgt = self.nodes[iid]
                     tgt.grad = g if tgt.grad is None else tgt.grad + g
                 node.grad = None
-            if nid != loss_id:
-                node.value = Released(node.value.shape)
+            node.value = Released(node.value.shape)
 
 
-def first_nonfinite(tape: Tape) -> tuple[int, str] | None:
-    """(node id, op) of the first non-finite value the tape recorded, released or not."""
-    if tape._swept:
-        raise ShapeError("first_nonfinite: backward has released the tape's values")
-    for nid, node in enumerate(tape.nodes):
-        if nid == tape._bad or (
-            not isinstance(node.value, Released) and not np.isfinite(node.value).all()
-        ):
-            return nid, node.op
+class _NonFinite(Exception):
+    """Ends a replay at its first non-finite value: (node id, TensorNode)."""
+
+
+class _FirstNonfinite(Tape):
+    def _push(self, op, value, inputs, attrs, keep) -> Handle:
+        if not np.isfinite(value).all():
+            raise _NonFinite(len(self.nodes), TensorNode(op, value, inputs, attrs))
+        return super()._push(op, value, inputs, attrs, keep)
+
+
+def first_nonfinite(run) -> tuple[int, TensorNode] | None:
+    """(node id, node) of the first non-finite value that ``run(tape)`` records on a
+    fresh recording tape, found as it is recorded; None if every value is finite."""
+    try:
+        run(_FirstNonfinite())
+    except _NonFinite as stop:
+        return stop.args
     return None
 
 

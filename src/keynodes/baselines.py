@@ -119,7 +119,8 @@ def greedy_dcover(g: CascadeGraph, budget: int, d: int = 1):
         raise DataError(f"budget must be >= 1, got {budget}")
     budget = min(budget, g.n)
     us, vs = cover_pairs(g, d)
-    covers = np.split(vs, np.cumsum(np.bincount(us, minlength=g.n))[:-1])
+    # node v covers vs[offsets[v] : offsets[v + 1]]
+    offsets = [0] + np.cumsum(np.bincount(us, minlength=g.n)).tolist()
     covered = np.zeros(g.n, dtype=bool)
     uncovered = g.n
     picked: list[int] = []
@@ -127,17 +128,18 @@ def greedy_dcover(g: CascadeGraph, budget: int, d: int = 1):
     # lazy greedy (CELF): coverage gains only shrink as nodes are covered, so
     # a stale gain bounds the true one; heap order (-bound, id) keeps the
     # smaller-id tie-break
-    heap = [(-c.size, v) for v, c in enumerate(covers)]
+    heap = [(lo - hi, v) for v, (lo, hi) in enumerate(zip(offsets, offsets[1:]))]
     heapq.heapify(heap)
     while len(picked) < budget and uncovered:
         neg_bound, v = heapq.heappop(heap)
-        gain = int(np.count_nonzero(~covered[covers[v]]))
+        cover = vs[offsets[v] : offsets[v + 1]]
+        gain = int(np.count_nonzero(~covered[cover]))
         if gain < -neg_bound:
             heapq.heappush(heap, (-gain, v))
             continue
         picked.append(v)
         chosen[v] = True
-        covered[covers[v]] = True
+        covered[cover] = True
         uncovered -= gain
     if len(picked) < budget:
         for v in degree_centrality(g).order():

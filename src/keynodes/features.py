@@ -48,10 +48,14 @@ def user_feature_matrix(g: CascadeGraph) -> FeatureMatrix:
 
     Columns: name chars, description chars, followers, friends, statuses,
     verified, geo_enabled, retweet delay seconds, hops from the source.
-    Absent fields map to 0; an unreachable node has 0 hops.
+    A node's retweet delay is the smallest delay of its kept in-edges, 0 if
+    it has none.  Absent fields map to 0; an unreachable node has 0 hops.
     """
     dist = g.source_hops
     mat = np.zeros((g.n, USER_DIM), dtype=np.float64)
+    delay = np.full(g.n, np.inf)
+    np.minimum.at(delay, g.edges[:, 1], g.delays)
+    mat[:, 7] = np.where(np.isfinite(delay), delay, 0.0)
     for v in range(g.n):
         u = g.users[v] if g.users is not None else None
         if u is not None:
@@ -62,7 +66,6 @@ def user_feature_matrix(g: CascadeGraph) -> FeatureMatrix:
             mat[v, 4] = u.statuses_count or 0
             mat[v, 5] = 1.0 if u.verified else 0.0
             mat[v, 6] = 1.0 if u.geo_enabled else 0.0
-            mat[v, 7] = u.retweet_delay_s or 0.0
         mat[v, 8] = max(int(dist[v]), 0)
     return FeatureMatrix(mat, "user")
 

@@ -60,7 +60,6 @@ class UserRecord:
     statuses_count: int | None = None
     verified: bool | None = None
     geo_enabled: bool | None = None
-    retweet_delay_s: float | None = None
 
     def has_profile(self) -> bool:
         return any(getattr(self, f) is not None for f in _PROFILE_FIELDS)
@@ -313,18 +312,15 @@ def load_cascade(dir_path) -> CascadeGraph:
 
     n = len(labels)
     edges, delays = _dedupe_edges(n, raw_edges, raw_delays)
-    # a node's retweet delay is its earliest kept in-edge; the source has none
-    first = np.full(n, np.inf)
-    np.minimum.at(first, edges[:, 1], delays)
-    retweet_delay = [x if math.isfinite(x) else None for x in first.tolist()]
     upath = d / "users.tsv"
-    profiles = _parse_users(upath, ids, retweet_delay) if upath.is_file() else {}
-    users = [profiles.get(v) or UserRecord(retweet_delay_s=x) for v, x in enumerate(retweet_delay)]
+    profiles = _parse_users(upath, ids) if upath.is_file() else {}
+    empty = UserRecord()
+    users = [profiles.get(v, empty) for v in range(n)]
     return CascadeGraph(n, edges, delays, users=users, labels=labels)
 
 
-def _parse_users(upath: Path, ids: dict[str, int], retweet_delay: list) -> dict[int, UserRecord]:
-    """node -> UserRecord of its users.tsv row, with its retweet delay."""
+def _parse_users(upath: Path, ids: dict[str, int]) -> dict[int, UserRecord]:
+    """node -> UserRecord of its users.tsv row."""
 
     def opt_int(tok, lineno, col):
         if tok == "":
@@ -375,7 +371,6 @@ def _parse_users(upath: Path, ids: dict[str, int], retweet_delay: list) -> dict[
             statuses_count=opt_int(cells[5], lineno, "statuses"),
             verified=opt_bool(cells[6], lineno, "verified"),
             geo_enabled=opt_bool(cells[7], lineno, "geo_enabled"),
-            retweet_delay_s=retweet_delay[v],
         )
     return profiles
 
@@ -560,7 +555,6 @@ def synth_cascade(
                     statuses_count=statuses,
                     verified=verified,
                     geo_enabled=geo,
-                    retweet_delay_s=retweet_time[v] if v != 0 else None,
                 )
             )
     return CascadeGraph(n_nodes, edges, delays, users=users, source=0)

@@ -117,8 +117,8 @@ def validate_params(params: ParamStore, cfg: ModelConfig, ablate=frozenset()) ->
         raise ShapeError(f"unexpected tensors in checkpoint: {sorted(extra)}")
 
 
-def bind_params(tape: Tape, params: ParamStore) -> dict[str, int]:
-    """Place every parameter on the tape as a leaf; returns name -> node id."""
+def bind_params(tape: Tape, params: ParamStore) -> dict:
+    """Place every parameter on the tape as a leaf; returns name -> handle."""
     return {name: tape.leaf(val, name=name) for name, val in params.items()}
 
 
@@ -182,7 +182,7 @@ def message_blocks(src, dst, n_nodes, cols):
 def gat_layer(tape, h, src, dst, n_nodes, W, a_src, a_dst, heads, slope=0.2, blocks=None):
     """One multi-head attention layer over the given edge list.
 
-    W (L, H*F), a_src and a_dst (H*F, 1) are tape ids of the heads' weights
+    W (L, H*F), a_src and a_dst (H*F, 1) are tape handles of the heads' weights
     stacked: head k owns columns k*F..(k+1)*F of W and the same rows of the
     a vectors.  Per head the edge logit is
     leaky_relu(a_dst . W h_dst + a_src . W h_src), softmaxed over each
@@ -192,9 +192,9 @@ def gat_layer(tape, h, src, dst, n_nodes, W, a_src, a_dst, heads, slope=0.2, blo
     a vectors block-diagonal and, transposed, spreads (E, H) attention over
     (E, H*F) inside the one ``attend`` op that weighs and sums the messages.
     ``attend`` keeps no (E, H*F) array on the tape: its backward recomputes
-    the spread attention and the gathered source rows.  A recording tape
-    releases the gathered ends, the leaky_relu output and the attend output
-    once their one consumer is recorded, as no backward reads them.
+    the spread attention and the gathered source rows.  The gathered ends,
+    the leaky_relu output and the attend output are each passed straight to
+    their one consumer, so, as no backward reads them, they are freed then.
 
     The projection and each node's head scores are computed once for all
     nodes; the per-message part runs over ``blocks`` (``message_blocks``,
@@ -211,19 +211,13 @@ def gat_layer(tape, h, src, dst, n_nodes, W, a_src, a_dst, heads, slope=0.2, blo
     )
 
     def messages(src, dst, seg, num):
-        ends = (tape.record("gather_rows", [to_dst], indices=dst),
-                tape.record("gather_rows", [to_src], indices=src))
-        logits = tape.record("add", ends)
-        tape.release(*ends)
-        scaled = tape.record("leaky_relu", [logits], alpha=slope)
-        att = tape.record("segment_softmax", [scaled], segments=seg, num_segments=num)
-        tape.release(scaled)
-        summed = tape.record(
+        logits = tape.record("add", [tape.record("gather_rows", [to_dst], indices=dst),
+                                     tape.record("gather_rows", [to_src], indices=src)])
+        att = tape.record("segment_softmax", [tape.record("leaky_relu", [logits], alpha=slope)],
+                          segments=seg, num_segments=num)
+        return tape.record("elu", [tape.record(
             "attend", [att, hw], spread=head_cols.T, src=src, segments=seg, num_segments=num
-        )
-        out = tape.record("elu", [summed])
-        tape.release(summed)
-        return out
+        )])
 
     if tape.grad:
         return messages(src, dst, dst, n_nodes)
@@ -247,9 +241,10 @@ def memory_read(tape, h, slots, conv_w):
     against the slots pre-scaled by their group's conv_w.
     """
     groups = tape.value(conv_w).shape[0]
-    logits = tape.record("matmul", [h, tape.record("transpose", [slots])])
-    probs = tape.record("row_softmax", [logits], group=groups)
-    tape.release(logits)  # row_softmax's backward reads its output
+    # row_softmax's backward reads its output, not the similarity
+    probs = tape.record(
+        "row_softmax", [tape.record("matmul", [h, tape.record("transpose", [slots])])], group=groups
+    )
     slot_group = np.repeat(np.arange(groups), tape.value(slots).shape[0] // groups)
     scale = tape.record("gather_rows", [conv_w], indices=slot_group)
     return tape.record("matmul", [probs, tape.record("mul", [slots, scale])])
@@ -263,13 +258,10 @@ def memory_enhance(tape, h, f_m):
 def enhance_rows(tape, h, slots, conv_w):
     """memory_enhance(h, memory_read(h, slots, conv_w)); a forward-only tape
     runs it over blocks of h's rows, each with at most CELLS (N, G*b)
-    similarity cells, and a recording tape as one block, releasing the read
-    once it is added to h."""
+    similarity cells, and a recording tape as one block.  The read is freed
+    once memory_enhance returns, as no backward reads it."""
     if tape.grad:
-        read = memory_read(tape, h, slots, conv_w)
-        out = memory_enhance(tape, h, read)
-        tape.release(read)
-        return out
+        return memory_enhance(tape, h, memory_read(tape, h, slots, conv_w))
     out = np.empty_like(h)
     cuts = row_cuts(np.arange(len(h) + 1), len(slots))
     for lo, hi in zip(cuts, cuts[1:]):
@@ -302,7 +294,7 @@ def fuse_scores(tape, s1, s2, w):
 
 @dataclass
 class ForwardResult:
-    """Tape node ids of the forward pass outputs."""
+    """Tape handles of the forward pass outputs (arrays on a no-grad tape)."""
 
     score: int
     score_user: int | None
@@ -319,7 +311,7 @@ def mmen_forward(
     cfg: ModelConfig,
     binding: dict[str, int] | None = None,
 ) -> ForwardResult:
-    """Full forward pass on one graph; returns tape ids of all outputs.
+    """Full forward pass on one graph; returns tape handles of all outputs.
 
     The store is the architecture: the user view runs iff ``user.proj.W``
     is present, memory iff ``struct.mem0.slots`` is, and the learned fusion
@@ -339,10 +331,10 @@ def mmen_forward(
             raise ShapeError(
                 f"{view} features have shape {feats.shape}, expected {(g.n, f_in)}"
             )
-        proj = tape.record("matmul", [tape.leaf(feats), binding[f"{view}.proj.W"]])
-        h = tape.record("add", [proj, binding[f"{view}.proj.b"]])
-        tape.release(proj)
-        del proj  # a forward-only tape's release is a no-op; free the (N, L) array here
+        h = tape.record("add", [
+            tape.record("matmul", [tape.leaf(feats), binding[f"{view}.proj.W"]]),
+            binding[f"{view}.proj.b"],
+        ])
         for layer in range(N_LAYERS):
             gat = [binding[f"{view}.gat{layer}.{t}"] for t in ("W", "a_src", "a_dst")]
             h = gat_layer(tape, h, src, dst, g.n, *gat, cfg.heads, slope=LEAKY_SLOPE, blocks=blocks)

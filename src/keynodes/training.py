@@ -61,8 +61,8 @@ def select_seeds(scores: np.ndarray, fraction: float) -> SeedSet:
     return SeedSet(tuple(int(v) for v in order[:k]), fraction)
 
 
-def coverage_loss(tape: Tape, scores_id: int, g: CascadeGraph, lam: float, d: int, pairs=None) -> int:
-    """Record the loss on the tape; returns the scalar node id.
+def coverage_loss(tape: Tape, scores_id, g: CascadeGraph, lam: float, d: int, pairs=None):
+    """Record the loss on the tape; returns the scalar's handle.
 
     First term: sum over nodes of the product of (1 - s_u) over the node's
     coverers, computed in log space with 1 - s clamped at 1e-12 so saturated
@@ -147,21 +147,18 @@ def _graph_loss(tape, bundle, params, binding, model_cfg, cfg):
     return coverage_loss(tape, fwd.score, bundle.graph, cfg.lam, cfg.d_cover, pairs=bundle.pairs)
 
 
-def _nonfinite_at(tape, run=None) -> str:
-    """Where a pass with a non-finite result first broke: a parameter by name, else the
-    op and tape node.  A no-grad tape keeps no nodes, so ``run`` replays it on a Tape()."""
-    if not tape.grad:
-        tape = Tape()
-        run(tape)
-    bad = first_nonfinite(tape)
-    name = tape.nodes[bad[0]].attrs.get("name")  # only bind_params' leaves have one
-    return f"parameter {name!r}" if name else f"op '{bad[1]}' (tape node {bad[0]})"
+def _nonfinite_at(run) -> str:
+    """Where the pass ``run(tape)`` first broke, found by replaying it on a recording
+    tape: a parameter by name, else the op and tape node."""
+    nid, node = first_nonfinite(run)
+    name = node.attrs.get("name")  # only bind_params' leaves have one
+    return f"parameter {name!r}" if name else f"op '{node.op}' (tape node {nid})"
 
 
-def _check_finite(tape, loss_id, context, run=None):
-    val = tape.value(loss_id).item()
+def _check_finite(loss, context, run) -> float:
+    val = loss.item()
     if not np.isfinite(val):
-        raise NumericError(f"non-finite value from {_nonfinite_at(tape, run)} during {context}")
+        raise NumericError(f"non-finite value from {_nonfinite_at(run)} during {context}")
     return val
 
 
@@ -216,11 +213,13 @@ def train(
             batch = order[start : start + cfg.batch_size]
             grads_sum: dict[str, np.ndarray] | None = None
             for gi in batch:
+                run = partial(_graph_loss, bundle=train_b[gi], params=params, binding=None,
+                              model_cfg=model_cfg, cfg=cfg)
                 tape = Tape()
                 binding = bind_params(tape, params)
-                loss_id = _graph_loss(tape, train_b[gi], params, binding, model_cfg, cfg)
-                epoch_loss += _check_finite(tape, loss_id, f"epoch {epoch} training")
-                tape.backward(loss_id)
+                loss = run(tape, binding=binding)
+                epoch_loss += _check_finite(tape.value(loss), f"epoch {epoch} training", run)
+                tape.backward(loss)
                 grads = collect_grads(tape, binding)
                 if grads_sum is None:
                     grads_sum = grads
@@ -238,8 +237,7 @@ def train(
         for bundle in val_b:
             run = partial(_graph_loss, bundle=bundle, params=params, binding=None,
                           model_cfg=model_cfg, cfg=cfg)
-            tape = Tape(grad=False)
-            val_loss += _check_finite(tape, run(tape), f"epoch {epoch} validation", run)
+            val_loss += _check_finite(run(Tape(grad=False)), f"epoch {epoch} validation", run)
         val_loss /= len(val_b)
 
         result.history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
@@ -273,9 +271,8 @@ def score_graph(
     """
     run = partial(mmen_forward, g=g, user_feats=user, struct_feats=struct, params=params,
                   cfg=model_cfg)
-    tape = Tape(grad=False)
-    fwd = run(tape)
+    fwd = run(Tape(grad=False))
     if not np.isfinite(fwd.score).all():
-        raise NumericError(f"non-finite score from {_nonfinite_at(tape, run)}")
+        raise NumericError(f"non-finite score from {_nonfinite_at(run)}")
     outs = (fwd.score, fwd.score_user, fwd.score_struct, fwd.weights)
     return tuple(None if x is None else x.ravel().copy() for x in outs)

@@ -131,7 +131,6 @@ def loop_synth_cascade(n_nodes, extra_edge_frac=0.0, attr_noise=0.0, rng_seed=0)
                 statuses_count=statuses,
                 verified=verified,
                 geo_enabled=geo,
-                retweet_delay_s=float(retweet_time[v]) if v != 0 else None,
             )
         )
     return CascadeGraph(n_nodes, edges, delays, users=users, source=0)

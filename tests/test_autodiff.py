@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+import weakref
 import zlib
 from functools import lru_cache
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import HOSTILE_CASES, hostile_checkpoint
 
+from keynodes import autodiff
 from keynodes.autodiff import (
     _BACKWARD,
     _FORWARD,
@@ -315,13 +317,17 @@ class TestScatter:
         assert grad.flags.c_contiguous and grad.tobytes() == want.tobytes()
 
     def test_segment_softmax_nan_input_warns_nothing(self):
+        def run(tape):
+            x = tape.leaf(np.array([[np.nan, 1.0], [0.5, 2.0], [1.5, -1.0]]))
+            return tape.record("segment_softmax", [x], segments=np.array([0, 0, 1]), num_segments=3)
+
         tape = Tape()
-        x = tape.leaf(np.array([[np.nan, 1.0], [0.5, 2.0], [1.5, -1.0]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y = tape.record("segment_softmax", [x], segments=np.array([0, 0, 1]), num_segments=3)
+            y = run(tape)
         assert np.isnan(tape.value(y)[:2, 0]).all()
-        assert first_nonfinite(tape) == (0, "leaf")
+        nid, node = first_nonfinite(run)
+        assert (nid, node.op) == (0, "leaf")
 
 
 class TestEveryOpAgainstFiniteDifferences:
@@ -454,12 +460,14 @@ class TestCheckpoint:
 
 class TestDiagnostics:
     def test_first_nonfinite_names_op(self):
-        tape = Tape()
-        x = tape.leaf(np.array([[-1.0]]))
-        tape.record("log", [x])  # NaN
-        tape.record("exp", [x])
-        nid, op = first_nonfinite(tape)
-        assert op == "log" and nid == 1
+        def run(tape):
+            x = tape.leaf(np.array([[-1.0]]))
+            tape.record("log", [x])  # NaN
+            tape.record("exp", [x])
+
+        nid, node = first_nonfinite(run)
+        assert node.op == "log" and nid == 1
+        assert first_nonfinite(lambda tape: tape.leaf(np.ones((2, 2)))) is None
 
 
 def _model_loss_tape(n=60, seed=3):
@@ -475,8 +483,9 @@ def _model_loss_tape(n=60, seed=3):
 
 
 def _kept_grad_sweep(tape, loss_id):
-    """Reference reverse sweep that keeps every node's gradient (no release):
+    """Reference reverse sweep that keeps every node's gradient:
     node id -> gradient, for every node the loss depends on."""
+    loss_id = int(loss_id)
     grads = {loss_id: np.ones((1, 1))}
     for nid in range(loss_id, -1, -1):
         node = tape.nodes[nid]
@@ -520,6 +529,10 @@ class TestGradientRelease:
         tape.backward(loss)
         leaves = [i for i, node in enumerate(tape.nodes) if node.op == "leaf"]
         assert all(node.grad is None for node in tape.nodes if node.op != "leaf")
+        # backward drops every non-leaf value, so a tape sweeps once
+        assert all(isinstance(node.value, Released) for node in tape.nodes if node.op != "leaf")
+        with pytest.raises(ShapeError, match="already swept"):
+            tape.backward(loss)
         assert any(tape.nodes[i].grad is not None for i in leaves)
         for i in leaves:
             want, got = kept.get(i), tape.nodes[i].grad
@@ -549,9 +562,9 @@ def _keep_everything_backward(tape, loss_id):
 
 
 def keep_everything(monkeypatch):
-    """From here on Tape keeps every value: release does nothing, and backward
-    is the sweep above."""
-    monkeypatch.setattr(Tape, "release", lambda self, *ids: None)
+    """From here on every tape node keeps its value, as if every backward read
+    its inputs and its output, and backward is the sweep above."""
+    monkeypatch.setattr(autodiff, "_READS", dict.fromkeys(_READS, "xy"))
     monkeypatch.setattr(Tape, "backward", _keep_everything_backward)
 
 
@@ -577,45 +590,37 @@ def _loss_and_grads(n, ablate):
 
 
 class TestValueRelease:
-    """A recording tape drops each value once no backward can read it, and
-    every loss and gradient keeps its bits."""
+    """A recording tape keeps a value only while a backward may read it, so a
+    value no backward reads lives as long as its handle; every loss and
+    gradient keeps its bits."""
 
     def test_read_table_covers_every_op(self):
         assert set(_READS) == set(_FORWARD)
 
-    def test_release_contract(self):
+    @pytest.mark.parametrize("op, attrs", [("add", {}), ("gather_rows", {"indices": [2, 0, 2]})])
+    def test_output_no_backward_reads_is_freed_with_its_handle(self, op, attrs):
         tape = Tape()
-        x = tape.leaf(np.arange(4.0).reshape(2, 2))
-        with pytest.raises(ShapeError, match="reads its value"):
-            tape.release(tape.record("sigmoid", [x]))  # its own backward reads it
-        read = tape.record("add", [x, x])
-        tape.record("mul", [read, x])  # mul's backward reads its inputs
-        with pytest.raises(ShapeError, match="reads its value"):
-            tape.release(read)
-        dropped = tape.record("add", [x, x])
-        total = tape.record("sum", [dropped])  # sum's backward reads only its shape
-        tape.release(dropped)
-        tape.release(dropped)
-        assert tape.nodes[dropped].value.shape == (2, 2)
-        with pytest.raises(ShapeError, match="released"):
-            tape.value(dropped)
-        with pytest.raises(ShapeError, match="released"):
-            tape.record("exp", [dropped])
+        x = tape.leaf(np.arange(6.0).reshape(3, 2))
+        out = tape.record(op, [x, x] if op == "add" else [x], **attrs)
+        total = tape.record("sum", [out])  # sum's backward reads only its input's shape
+        freed = weakref.ref(out.value)
+        del out
+        assert freed() is None
         tape.backward(total)
-        assert np.array_equal(tape.nodes[x].grad, np.ones((2, 2)) * 2)
-        assert tape.value(total).item() == 12.0 and tape.value(x).shape == (2, 2)
-        assert all(isinstance(n.value, Released) for i, n in enumerate(tape.nodes)
-                   if n.op != "leaf" and i != total)
-        with pytest.raises(ShapeError, match="already swept"):
-            tape.backward(total)
-        with pytest.raises(ShapeError, match="released"):
-            first_nonfinite(tape)
+        want = np.full((3, 2), 2.0) if op == "add" else np.array([[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
+        assert np.array_equal(tape.nodes[x].grad, want)
 
-    def test_no_grad_release_does_nothing(self):
-        tape = Tape(grad=False)
-        y = tape.record("add", [tape.leaf(np.ones((2, 2))), tape.leaf(np.ones((1, 2)))])
-        tape.release(y)
-        assert np.array_equal(tape.value(y), np.full((2, 2), 2.0))
+    def test_matmul_input_lives_until_backward(self):
+        tape = Tape()
+        x = tape.leaf(np.arange(6.0).reshape(3, 2))
+        h = tape.record("add", [x, x])
+        kept = weakref.ref(h.value)
+        loss = tape.record("sum", [tape.record("matmul", [h, tape.leaf(np.ones((2, 1)))])])
+        del h
+        assert kept() is not None  # matmul's backward reads its inputs
+        tape.backward(loss)
+        assert kept() is None
+        assert tape.value(loss).item() == 30.0
 
     def test_elu_backward_masks_on_output_as_on_input(self):
         x = np.array([[-0.0, 0.0, -5e-324, -1e-310, -1e-300, -1e-17, 5e-324, 1e-300,
@@ -649,33 +654,36 @@ class TestValueRelease:
         assert got == run()
 
     def test_inf_in_released_memory_logits_keeps_its_node_id(self, monkeypatch):
-        """Huge memory slots overflow the memory similarity matmul, a node the
-        forward releases: it is named as a tape that keeps it names it."""
+        """Huge memory slots overflow the memory similarity matmul, a node that
+        keeps no value: it is named as a tape that keeps every value names it."""
         g = synth_cascade(60, 0.1, 0.3, 3)
         user, struct = featurize_graph(g, WalkConfig(), 0, 0)
         cfg = ModelConfig(hidden=16, heads=4, mem_groups=2, mem_slots=4)
         params = init_params(cfg, 0)
         params["struct.mem0.slots"] = np.full_like(params["struct.mem0.slots"], 1e308)
 
-        def first_bad():
-            tape = Tape()
+        def run(tape):
             with np.errstate(over="ignore", invalid="ignore"):
                 fwd = mmen_forward(tape, g, user.values, struct.values, params, cfg)
-                coverage_loss(tape, fwd.score, g, 1.0, 1)
-            bad = first_nonfinite(tape)
-            return bad, isinstance(tape.nodes[bad[0]].value, Released)
+                return coverage_loss(tape, fwd.score, g, 1.0, 1)
+
+        def recorded_tape():
+            tape = Tape()
+            run(tape)
+            return tape
 
         def score_error():
             with pytest.raises(NumericError) as err, np.errstate(over="ignore", invalid="ignore"):
                 score_graph(g, params, cfg, user.values, struct.values)
             return str(err.value)
 
-        (nid, op), released = first_bad()
-        assert op == "matmul" and released
+        nid, node = first_nonfinite(run)
+        assert node.op == "matmul" and isinstance(recorded_tape().nodes[nid].value, Released)
         message = score_error()
         assert message == f"non-finite score from op 'matmul' (tape node {nid})"
         keep_everything(monkeypatch)
-        assert first_bad() == ((nid, op), False)
+        nodes = recorded_tape().nodes
+        assert next(i for i, n in enumerate(nodes) if not np.isfinite(n.value).all()) == nid
         assert score_error() == message
 
     def test_held_values_and_backward_peak_at_5000_nodes(self):

@@ -7,6 +7,7 @@ from conftest import csr_rows, edge_sets, loop_synth_cascade, path_graph, random
 
 from keynodes import graphs
 from keynodes.errors import DataError
+from keynodes.features import user_feature_matrix
 from keynodes.graphs import (
     CascadeGraph,
     _AttachIndex,
@@ -21,6 +22,11 @@ from keynodes.graphs import (
     shortest_path_len,
     synth_cascade,
 )
+
+
+def retweet_delays(g):
+    """The user view's retweet delay column."""
+    return user_feature_matrix(g).values[:, 7]
 
 
 def write_cascade(tmp_path, lines, users=None):
@@ -110,27 +116,27 @@ class TestLoad:
         assert u.friends_count is None
         assert u.verified is True
         assert u.geo_enabled is False
-        assert u.retweet_delay_s == 5.0
+        assert retweet_delays(g)[1] == 5.0
 
     def test_delay_of_duplicate_edge_is_first(self, tmp_path):
         d = write_cascade(tmp_path, ["0\t1\t5.0\n", "0\t1\t2.0\n"])
-        assert load_cascade(d).users[1].retweet_delay_s == 5.0
+        assert retweet_delays(load_cascade(d))[1] == 5.0
 
     def test_delay_is_minimum_over_parents(self, tmp_path):
         d = write_cascade(tmp_path, ["0\t1\t5.0\n", "0\t2\t3.0\n", "2\t1\t4.0\n"])
-        users = load_cascade(d).users
-        assert users[1].retweet_delay_s == 4.0
-        assert users[2].retweet_delay_s == 3.0
+        delays = retweet_delays(load_cascade(d))
+        assert delays[1] == 4.0
+        assert delays[2] == 3.0
 
     def test_self_loop_delay_ignored(self, tmp_path):
         d = write_cascade(tmp_path, ["0\t1\t5.0\n", "1\t1\t0.5\n"])
-        assert load_cascade(d).users[1].retweet_delay_s == 5.0
+        assert retweet_delays(load_cascade(d))[1] == 5.0
 
     def test_source_has_no_delay(self, tmp_path):
         d = write_cascade(tmp_path, ["0\t1\t5.0\n", "1\t2\t6.0\n"])
         g = load_cascade(d)
         assert g.source == 0
-        assert g.users[0].retweet_delay_s is None
+        assert retweet_delays(g)[0] == 0.0
         assert g.users[0] == UserRecord()
 
     def test_round_trip_thousand_edges(self, tmp_path):
@@ -511,8 +517,6 @@ class TestConstruction:
     def test_user_view_reuses_source_walk(self, monkeypatch, source):
         """The hop column reads the walk _find_source made; a graph given its
         source walks once, when the hops are first read."""
-        from keynodes.features import user_feature_matrix
-
         starts = []
         bfs = graphs._bfs
         monkeypatch.setattr(graphs, "_bfs", lambda adj, v, *a: starts.append(v) or bfs(adj, v, *a))

@@ -487,8 +487,8 @@ class TestBlockedForward:
 
     def test_peak_under_five_node_arrays(self):
         """Each view's input projection is freed once added to its bias: a
-        forward-only tape's release frees nothing, so a local holding it
-        would keep one more (N, L) array through every layer of the view."""
+        local holding it would keep one more (N, L) array through every
+        layer of the view."""
         g = synth_cascade(20000, 0.1, 0.3, 7)
         user, struct = featurize_graph(g, WalkConfig(), 0, 0)
         cfg, params = ModelConfig(), init_params(ModelConfig(), 0)
