@@ -8,7 +8,24 @@ network robustness index against classical centrality baselines.
 """
 
 import os
+import sys
 
+
+def _blas_one_thread() -> bool:
+    """Whether numpy's OpenBLAS runs one thread: OPENBLAS_NUM_THREADS is "1"
+    when numpy loads, which is known only if numpy has not loaded yet or the
+    variable was "1" when this process started."""
+    if "numpy" not in sys.modules:
+        return os.environ.get("OPENBLAS_NUM_THREADS", "1") == "1"
+    try:
+        with open("/proc/self/environ", "rb") as fh:
+            return b"OPENBLAS_NUM_THREADS=1" in fh.read().split(b"\0")
+    except OSError:
+        return False
+
+
+# training.train runs a batch's graphs in several processes only then.
+BLAS_ONE_THREAD = _blas_one_thread()
 # The model's matmuls are too small for a second BLAS thread to pay off: on
 # 2 CPUs it roughly doubles training CPU time for no wall-time gain.  Set
 # before numpy loads; a value the user set wins.

@@ -17,6 +17,7 @@ clamp_min'(at the bound) = 1.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from pathlib import Path
 
@@ -122,6 +123,16 @@ class Handle:
 
     def __index__(self):
         return self.id
+
+    def __eq__(self, other):
+        """Equal to its node id, so a handle and an int id find the same dict key."""
+        try:
+            return self.id == operator.index(other)
+        except TypeError:
+            return NotImplemented
+
+    def __hash__(self):
+        return hash(self.id)
 
 
 class Tape:

@@ -356,12 +356,13 @@ def cmd_train(args) -> int:
         history.write("epoch,train_loss,val_loss\n")
         history.flush()
 
-        def log_epoch(row, seconds, grad_norm):
+        def log_epoch(row, seconds, grad_norm, w_user):
             history.write(f"{row['epoch']},{row['train_loss']!r},{row['val_loss']!r}\n")
             history.flush()
+            fusion = "-" if w_user is None else f"{w_user:.6g}"
             print(f"epoch {row['epoch']}: train loss {row['train_loss']:.6g}, "
-                  f"val loss {row['val_loss']:.6g}, grad norm {grad_norm:.6g}, {seconds:.2f} s",
-                  file=sys.stderr)
+                  f"val loss {row['val_loss']:.6g}, grad norm {grad_norm:.6g}, "
+                  f"w_user {fusion}, {seconds:.2f} s", file=sys.stderr)
 
         result = train(train_graphs, val_graphs, cfg, model_cfg=model_cfg, walk_cfg=walk_cfg,
                        ablate=ablate, on_epoch=log_epoch)

@@ -9,12 +9,17 @@ upstream of it, itself included) plus lambda times the expected seed count.
 from __future__ import annotations
 
 import math
+import os
+import signal
+import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
+from . import BLAS_ONE_THREAD
 from .autodiff import ParamStore, Tape, first_nonfinite
 from .baselines import ranked_order
 from .errors import DataError, NumericError
@@ -141,10 +146,12 @@ def prepare_graphs(
 
 
 def _graph_loss(tape, bundle, params, binding, model_cfg, cfg):
+    """(fusion weights, loss) handles of one graph's forward plus coverage loss."""
     fwd = mmen_forward(
         tape, bundle.graph, bundle.user, bundle.struct, params, model_cfg, binding=binding
     )
-    return coverage_loss(tape, fwd.score, bundle.graph, cfg.lam, cfg.d_cover, pairs=bundle.pairs)
+    loss = coverage_loss(tape, fwd.score, bundle.graph, cfg.lam, cfg.d_cover, pairs=bundle.pairs)
+    return fwd.weights, loss
 
 
 def _nonfinite_at(run) -> str:
@@ -160,6 +167,125 @@ def _check_finite(loss, context, run) -> float:
     if not np.isfinite(val):
         raise NumericError(f"non-finite value from {_nonfinite_at(run)} during {context}")
     return val
+
+
+def _train_step(bundle, params, model_cfg, cfg, context):
+    """One graph's training loss and parameter gradients."""
+    run = partial(_graph_loss, bundle=bundle, params=params, binding=None,
+                  model_cfg=model_cfg, cfg=cfg)
+    tape = Tape()
+    binding = bind_params(tape, params)
+    _, loss = run(tape, binding=binding)
+    val = _check_finite(tape.value(loss), context, run)
+    tape.backward(loss)
+    return val, collect_grads(tape, binding)
+
+
+def _val_step(bundle, params, model_cfg, cfg, context):
+    """One graph's validation loss and fusion weight w_user (None without a user view)."""
+    run = partial(_graph_loss, bundle=bundle, params=params, binding=None,
+                  model_cfg=model_cfg, cfg=cfg)
+    weights, loss = run(Tape(grad=False))
+    return _check_finite(loss, context, run), None if weights is None else weights[0, 0].item()
+
+
+_STEPS = {"train": _train_step, "val": _val_step}
+
+
+def _processes(batch: int) -> int:
+    """Processes for batches of ``batch`` graphs: one per graph up to the
+    usable CPUs, where fork exists and the BLAS is known to run one thread
+    (two BLAS threads per process made two processes 3x slower than one),
+    in a process with no other thread (a fork copies no thread, and so no
+    lock another thread holds), and outside a daemonic process (a
+    multiprocessing pool's worker), which may not have children."""
+    import multiprocessing  # here, so the verbs that never fork do not load it
+
+    if (sys.platform != "linux" or not hasattr(os, "fork") or not BLAS_ONE_THREAD
+            or threading.active_count() > 1 or multiprocessing.current_process().daemon):
+        return 1
+    return min(batch, len(os.sched_getaffinity(0)))
+
+
+def _worker(conn, parent_ends, bundles, model_cfg, cfg):
+    """A forked worker's loop: run each requested step and send its result,
+    or None if it raised, so the parent replays that graph and raises as a
+    serial run would.  Ends on EOF or a broken pipe, through os._exit, so
+    nothing of the parent's stack (checkpoint or trace writers) runs here."""
+    for end in parent_ends:
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        while True:
+            kind, params, indices, context = conn.recv()
+            for i in indices:
+                try:
+                    out = _STEPS[kind](bundles[kind][i], params, model_cfg, cfg, context)
+                except Exception:
+                    out = None
+                conn.send(out)
+    finally:
+        os._exit(0)
+
+
+class _Workers:
+    """Runs the steps of a list of graphs on ``processes`` processes: graph
+    j of the list on process j % processes, where process 0 is this one and
+    the rest are forked workers holding the prepared bundles.  Results come
+    back in list order, so sums over them add in the serial order and are
+    bitwise equal to a one-process run's."""
+
+    def __init__(self, processes, bundles, model_cfg, cfg):
+        self.bundles, self.model_cfg, self.cfg = bundles, model_cfg, cfg
+        self.conns, self.procs = [], []
+        if processes < 2:
+            return
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        try:
+            for _ in range(processes - 1):
+                parent_end, child_end = ctx.Pipe()
+                self.conns.append(parent_end)
+                proc = ctx.Process(target=_worker, daemon=True,
+                                   args=(child_end, self.conns, bundles, model_cfg, cfg))
+                proc.start()
+                child_end.close()
+                self.procs.append(proc)
+        except BaseException:
+            self.close(killed=True)
+            raise
+
+    def close(self, killed: bool) -> None:
+        """Close the pipes, so idle workers exit, and reap every worker."""
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            if killed:
+                proc.kill()
+            proc.join()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *_):
+        self.close(killed=exc_type is not None)
+
+    def map(self, kind, indices, params, context):
+        """Yield ``_STEPS[kind]`` of each bundle index in order.  A graph whose
+        worker reports a failure is rerun here, so it raises as in a serial run.
+        The caller reads every result, or leaves the ``with`` block by the
+        exception: a result left unread would be read as the next call's."""
+        n = len(self.conns) + 1
+        for k, conn in enumerate(self.conns, 1):
+            if len(indices) > k:
+                conn.send((kind, params, indices[k::n], context))
+        step, bundles = _STEPS[kind], self.bundles[kind]
+        for j, i in enumerate(indices):
+            out = self.conns[j % n - 1].recv() if j % n else None
+            if out is None:
+                out = step(bundles[i], params, self.model_cfg, self.cfg, context)
+            yield out
 
 
 @dataclass
@@ -186,9 +312,15 @@ def train(
     and the per-epoch shuffle all derive from it.  Returns the parameters of
     the best validation epoch.  ``ablate`` picks the tensors ``init_params``
     creates; an ``init`` store must hold exactly those (ShapeError if not).
-    ``on_epoch(row, seconds, grad_norm)``, if given, sees each history row as
-    its epoch ends, with the epoch's wall time and the mean L2 norm of its
-    batch gradients (each the sum over the batch's graphs, all tensors flat).
+    ``on_epoch(row, seconds, grad_norm, w_user)``, if given, sees each history
+    row as its epoch ends, with the epoch's wall time, the mean L2 norm of its
+    batch gradients (each the sum over the batch's graphs, all tensors flat)
+    and the mean user-view fusion weight over the validation graphs (None
+    without a user view).
+
+    With ``fork``, several usable CPUs and a one-thread BLAS, a batch's
+    graphs and the validation graphs are split over up to batch_size
+    processes (``_Workers``); the result is bitwise that of one process.
     """
     if not train_graphs or not val_graphs:
         raise DataError("need at least one training and one validation graph")
@@ -205,53 +337,50 @@ def train(
 
     result = TrainResult(params.copy())
     bad_epochs = 0
-    for epoch in range(1, cfg.epochs + 1):
-        started = time.perf_counter()
-        order = shuffle_rng.permutation(len(train_b))
-        epoch_loss, norms = 0.0, []
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            grads_sum: dict[str, np.ndarray] | None = None
-            for gi in batch:
-                run = partial(_graph_loss, bundle=train_b[gi], params=params, binding=None,
-                              model_cfg=model_cfg, cfg=cfg)
-                tape = Tape()
-                binding = bind_params(tape, params)
-                loss = run(tape, binding=binding)
-                epoch_loss += _check_finite(tape.value(loss), f"epoch {epoch} training", run)
-                tape.backward(loss)
-                grads = collect_grads(tape, binding)
-                if grads_sum is None:
-                    grads_sum = grads
-                else:
-                    for name in grads_sum:
-                        grads_sum[name] += grads[name]
-            bad = next((name for name, g in grads_sum.items() if not np.isfinite(g).all()), None)
-            if bad is not None:
-                raise NumericError(f"non-finite gradient of parameter {bad!r} in epoch {epoch}")
-            norms.append(math.sqrt(sum(float(np.vdot(g, g)) for g in grads_sum.values())))
-            adam_step(params, grads_sum, adam, cfg.lr)
-        train_loss = epoch_loss / len(train_b)
+    processes = _processes(min(cfg.batch_size, len(train_b)))
+    with _Workers(processes, {"train": train_b, "val": val_b}, model_cfg, cfg) as workers:
+        for epoch in range(1, cfg.epochs + 1):
+            started = time.perf_counter()
+            order = shuffle_rng.permutation(len(train_b))
+            epoch_loss, norms = 0.0, []
+            for start in range(0, len(order), cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                grads_sum: dict[str, np.ndarray] | None = None
+                for loss, grads in workers.map("train", batch, params, f"epoch {epoch} training"):
+                    epoch_loss += loss
+                    if grads_sum is None:
+                        grads_sum = grads
+                    else:
+                        for name in grads_sum:
+                            grads_sum[name] += grads[name]
+                bad = next((name for name, g in grads_sum.items() if not np.isfinite(g).all()), None)
+                if bad is not None:
+                    raise NumericError(f"non-finite gradient of parameter {bad!r} in epoch {epoch}")
+                norms.append(math.sqrt(sum(float(np.vdot(g, g)) for g in grads_sum.values())))
+                adam_step(params, grads_sum, adam, cfg.lr)
+            train_loss = epoch_loss / len(train_b)
 
-        val_loss = 0.0
-        for bundle in val_b:
-            run = partial(_graph_loss, bundle=bundle, params=params, binding=None,
-                          model_cfg=model_cfg, cfg=cfg)
-            val_loss += _check_finite(run(Tape(grad=False)), f"epoch {epoch} validation", run)
-        val_loss /= len(val_b)
+            val_loss, w_users = 0.0, []
+            for loss, w_user in workers.map("val", range(len(val_b)), params,
+                                            f"epoch {epoch} validation"):
+                val_loss += loss
+                w_users.append(w_user)
+            val_loss /= len(val_b)
+            w_user = None if w_users[0] is None else sum(w_users) / len(w_users)
 
-        result.history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
-        if on_epoch is not None:
-            on_epoch(result.history[-1], time.perf_counter() - started, sum(norms) / len(norms))
-        if val_loss < result.best_val_loss:
-            result.best_val_loss = val_loss
-            result.best_epoch = epoch
-            result.params = params.copy()
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-        if bad_epochs >= cfg.patience:
-            break
+            result.history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
+            if on_epoch is not None:
+                on_epoch(result.history[-1], time.perf_counter() - started, sum(norms) / len(norms),
+                         w_user)
+            if val_loss < result.best_val_loss:
+                result.best_val_loss = val_loss
+                result.best_epoch = epoch
+                result.params = params.copy()
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+            if bad_epochs >= cfg.patience:
+                break
     return result
 
 

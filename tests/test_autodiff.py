@@ -589,6 +589,17 @@ def _loss_and_grads(n, ablate):
     return [tape.value(loss).tobytes()] + [x.tobytes() for x in collect_grads(tape, binding).values()]
 
 
+class TestHandle:
+    def test_equals_and_hashes_as_its_node_id(self):
+        tape = Tape()
+        a = tape.leaf(np.ones((2, 2)))
+        b = tape.record("add", [a, a])
+        assert b == 1 and b == int(b) and b == np.int64(1) and b != a and b != 0
+        assert hash(b) == hash(1)
+        assert {b: "sum"}[1] == "sum" and {1: "sum"}[b] == "sum"
+        assert b != "1" and (b == np.ones(1)) is not True
+
+
 class TestValueRelease:
     """A recording tape keeps a value only while a backward may read it, so a
     value no backward reads lives as long as its handle; every loss and

@@ -172,11 +172,60 @@ class TestTrain:
         assert len(lines) == 2 and out.startswith("best epoch ")
         for epoch, line in enumerate(lines, 1):
             m = re.fullmatch(
-                r"epoch (\d+): train loss \S+, val loss \S+, grad norm (\S+), \d+\.\d\d s", line
+                r"epoch (\d+): train loss \S+, val loss \S+, grad norm (\S+), w_user (\S+), "
+                r"\d+\.\d\d s",
+                line,
             )
-            assert m and int(m[1]) == epoch and float(m[2]) > 0, line
+            assert m and int(m[1]) == epoch and float(m[2]) > 0 and 0 < float(m[3]) < 1, line
         history = (tmp_path / "history.csv").read_text().splitlines()
         assert history[0] == "epoch,train_loss,val_loss" and len(history) == 3
+
+    def test_epoch_line_without_user_view_shows_no_fusion_weight(self, dataset, tmp_path, capsys):
+        argv = ["train", "--data", str(dataset), "--out", str(tmp_path), "--epochs", "1",
+                "--ablate", "no-user"]
+        assert main(argv) == 0
+        assert ", w_user -, " in capsys.readouterr().err
+
+    def test_cli_train_in_two_processes_equals_serial(self, dataset, tmp_path, monkeypatch):
+        """The console command, which imports keynodes before numpy, may split
+        each batch over two processes; its outputs equal a one-process run's."""
+        argv = ["train", "--data", str(dataset), "--epochs", "2", "--seed", "5"]
+        run_python(f"import sys; from keynodes.cli import main; sys.exit(main({argv!r} + sys.argv[1:]))",
+                   None, "--out", str(tmp_path / "cli"))
+        monkeypatch.setattr(training, "_processes", lambda batch: 1)
+        assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+        assert tree_bytes(tmp_path / "cli") == tree_bytes(tmp_path / "serial")
+
+    @pytest.mark.skipif(sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+                        reason="train forks a worker on Linux with two usable CPUs")
+    def test_killed_train_leaves_no_worker(self, dataset, tmp_path):
+        """A worker waits on its pipe, and ends when the train process dies."""
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(keynodes.__file__).resolve().parents[1])
+        argv = ["train", "--data", str(dataset), "--out", str(tmp_path), "--epochs", "100000",
+                "--patience", "100000"]
+        proc = subprocess.Popen([sys.executable, "-c", "import sys; from keynodes.cli import main; "
+                                 "sys.exit(main())", *argv], env=env, stderr=subprocess.DEVNULL)
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        try:
+            deadline = time.monotonic() + 60
+            while not (workers := children.read_text().split()) and time.monotonic() < deadline:
+                time.sleep(0.02)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert workers
+
+        def running(pid):
+            try:  # a zombie has exited; only its parent, now init, can reap it
+                return Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 1
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(map(running, workers))
 
     def test_failed_epoch_keeps_finished_rows(self, dataset, tmp_path, capsys, monkeypatch):
         """history.csv gains each row as its epoch ends: a parameter driven
@@ -752,22 +801,49 @@ class TestExitCodes:
             assert fragment in text
 
 
+def run_python(code, openblas_threads, *args) -> str:
+    """Stdout of ``python -c code *args`` with OPENBLAS_NUM_THREADS set to
+    ``openblas_threads`` at start-up (unset if None)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(keynodes.__file__).resolve().parents[1])
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.strip()
+
+
 class TestBlasThreads:
     """Importing keynodes caps OpenBLAS at one thread unless the user set a value."""
 
     def blas_threads(self, preset):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = str(Path(keynodes.__file__).resolve().parents[1])
-        if preset is not None:
-            env["OPENBLAS_NUM_THREADS"] = preset
-        code = "import keynodes, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        return done.stdout.strip()
+        return run_python("import keynodes, os; print(os.environ['OPENBLAS_NUM_THREADS'])", preset)
 
     def test_unset_becomes_one(self):
         assert self.blas_threads(None) == "1"
 
     def test_user_value_kept(self):
         assert self.blas_threads("2") == "2"
+
+
+class TestOneThreadGate:
+    """train uses several processes only when OpenBLAS is known to run one
+    thread in each: two threads per process made two processes 3x slower."""
+
+    def gate(self, preset, numpy_first):
+        imports = "import numpy, keynodes" if numpy_first else "import keynodes"
+        return run_python(f"{imports}; print(keynodes.BLAS_ONE_THREAD)", preset) == "True"
+
+    def test_on_when_keynodes_sets_the_cap(self):
+        assert self.gate(None, numpy_first=False) and self.gate("1", numpy_first=False)
+
+    def test_off_when_numpy_loaded_first_without_the_variable(self):
+        assert not self.gate(None, numpy_first=True)
+
+    def test_off_for_two_threads(self):
+        assert not self.gate("2", numpy_first=False) and not self.gate("2", numpy_first=True)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads the start-up environment from /proc")
+    def test_on_when_one_thread_set_at_start_up_and_numpy_loaded_first(self):
+        assert self.gate("1", numpy_first=True)

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -255,22 +257,36 @@ class TestTrain:
             train(graphs[:1], graphs[1:], TrainConfig(epochs=1), model_cfg=TINY, init=partial)
 
     def test_on_epoch_sees_mean_batch_gradient_norm(self, monkeypatch):
-        graphs = tiny_dataset(6, seed=6)
+        """... and the mean validation w_user under the parameters the epoch ends with."""
+        graphs = tiny_dataset(7, seed=6)
         cfg = TrainConfig(epochs=2, batch_size=2, patience=2, rng_seed=0)
-        norms, seen = [], []
+        norms, stepped, seen = [], [], []
         step = training.adam_step
 
         def spy(params, grads, state, lr):
             norms.append(np.linalg.norm(np.concatenate([g.ravel() for g in grads.values()])))
-            return step(params, grads, state, lr)
+            out = step(params, grads, state, lr)
+            stepped.append(params.copy())
+            return out
 
         monkeypatch.setattr(training, "adam_step", spy)
         result = train(graphs[:5], graphs[5:], cfg, model_cfg=TINY,
-                       on_epoch=lambda row, seconds, grad_norm: seen.append((row, grad_norm)))
+                       on_epoch=lambda row, seconds, grad_norm, w_user: seen.append((row, grad_norm, w_user)))
         assert len(norms) == 6  # 5 graphs in batches of 2: 3 steps an epoch
-        assert [row for row, _ in seen] == result.history
-        assert [gn for _, gn in seen] == pytest.approx([np.mean(norms[:3]), np.mean(norms[3:])],
-                                                       rel=1e-12)
+        assert [row for row, _, _ in seen] == result.history
+        assert [gn for _, gn, _ in seen] == pytest.approx([np.mean(norms[:3]), np.mean(norms[3:])],
+                                                          rel=1e-12)
+        val = training.prepare_graphs(graphs[5:], cfg, WalkConfig(), index_offset=5)
+        for (_, _, w_user), params in zip(seen, (stepped[2], stepped[5])):
+            weights = [score_graph(b.graph, params, TINY, b.user, b.struct)[3][0] for b in val]
+            assert w_user == pytest.approx(np.mean(weights), rel=1e-12)
+
+    def test_on_epoch_w_user_is_none_without_user_view(self):
+        graphs = tiny_dataset(3, seed=6)
+        seen = []
+        train(graphs[:2], graphs[2:], TrainConfig(epochs=1), model_cfg=TINY, ablate=frozenset({"no-user"}),
+              on_epoch=lambda *args: seen.append(args[3]))
+        assert seen == [None]
 
     def test_nonfinite_gradient_named_and_not_applied(self, monkeypatch):
         graphs = tiny_dataset(2, seed=4)
@@ -301,7 +317,8 @@ class TestTrain:
         for bundle in training.prepare_graphs(graphs[:2], cfg, WalkConfig()):
             tape = Tape()
             binding = bind_params(tape, params)
-            tape.backward(training._graph_loss(tape, bundle, params, binding, TINY, cfg))
+            _, loss = training._graph_loss(tape, bundle, params, binding, TINY, cfg)
+            tape.backward(loss)
             per_graph.append({k: v.copy() for k, v in collect_grads(tape, binding).items()})
         assert len(steps) == 1 and set(steps[0]) == set(params.names())
         for name, g in steps[0].items():
@@ -337,6 +354,93 @@ class TestTrain:
         best = min(result.history, key=lambda r: r["val_loss"])
         assert result.best_val_loss == best["val_loss"]
         assert result.best_epoch == best["epoch"]
+
+
+def processes(monkeypatch, n):
+    """Make train use n processes, and return the pids of the workers it forks."""
+    monkeypatch.setattr(training, "_processes", lambda batch: n)
+    pids = []
+
+    class Recording(training._Workers):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pids.extend(proc.pid for proc in self.procs)
+
+    monkeypatch.setattr(training, "_Workers", Recording)
+    return pids
+
+
+def assert_reaped(pids):
+    assert pids and multiprocessing.active_children() == []
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestTwoProcesses:
+    """train may split each batch, and the validation pass, over forked
+    workers; every result is bitwise that of one process, and no worker
+    outlives train."""
+
+    def run(self, monkeypatch, n, graphs, cfg, **kwargs):
+        pids, seen = processes(monkeypatch, n), []
+        on_epoch = lambda row, seconds, grad_norm, w_user: seen.append((dict(row), grad_norm, w_user))
+        result = train(graphs[:6], graphs[6:], cfg, model_cfg=TINY, on_epoch=on_epoch, **kwargs)
+        if n > 1:
+            assert_reaped(pids)
+        return result, seen
+
+    @pytest.mark.parametrize("n, batch_size, ablate", [
+        (2, 2, frozenset()), (2, 3, frozenset()), (3, 4, frozenset()), (2, 2, frozenset({"no-user"})),
+    ])
+    def test_bitwise_equal_to_one_process(self, monkeypatch, n, batch_size, ablate):
+        graphs = tiny_dataset(9, seed=8)
+        cfg = TrainConfig(epochs=3, batch_size=batch_size, patience=3, rng_seed=2)
+        many, many_seen = self.run(monkeypatch, n, graphs, cfg, ablate=ablate)
+        one, one_seen = self.run(monkeypatch, 1, graphs, cfg, ablate=ablate)
+        assert many.history == one.history and many.best_epoch == one.best_epoch
+        assert many_seen == one_seen  # everything on_epoch sees but the wall time
+        assert many.params.names() == one.params.names()
+        for name, value in one.params.items():
+            assert many.params[name].tobytes() == value.tobytes(), name
+
+    @pytest.mark.parametrize("kind", ["train", "val"])
+    def test_worker_graph_nonfinite_raises_as_serial(self, monkeypatch, kind):
+        """A worker's graph with a non-finite feature: process 1 takes batch
+        position 1 and validation graph 1.  The error, rerun in the parent,
+        names the same op and pass as one process does."""
+        graphs = tiny_dataset(4, seed=9)
+        cfg = TrainConfig(epochs=2, batch_size=2, rng_seed=0)
+        bad = int(np.random.default_rng([cfg.rng_seed, 1]).permutation(2)[1]) if kind == "train" else 3
+        featurize = training.featurize_graph
+
+        def poisoned(g, walk_cfg, seed, index):
+            user, struct = featurize(g, walk_cfg, seed, index)
+            if index == bad:
+                struct.values[0, 0] = np.inf
+            return user, struct
+
+        monkeypatch.setattr(training, "featurize_graph", poisoned)
+        errors = []
+        for n in (2, 1):
+            pids = processes(monkeypatch, n)
+            with pytest.raises(NumericError) as err, np.errstate(all="ignore"):
+                train(graphs[:2], graphs[2:], cfg, model_cfg=TINY)
+            errors.append(str(err.value))
+            if n > 1:
+                assert_reaped(pids)
+        assert errors[0] == errors[1] and f"epoch 1 {'training' if kind == 'train' else 'validation'}" in errors[0]
+
+    def test_on_epoch_raising_reaps_workers(self, monkeypatch):
+        graphs = tiny_dataset(4, seed=1)
+        pids = processes(monkeypatch, 2)
+
+        def stop(*args):
+            raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError, match="stop"):
+            train(graphs[:3], graphs[3:], TrainConfig(epochs=3), model_cfg=TINY, on_epoch=stop)
+        assert_reaped(pids)
 
 
 def _store(cfg, ablate=frozenset()):
