@@ -50,13 +50,7 @@ from .epidemic import (
     sir_run,
 )
 from .errors import DataError, NumericError, ShapeError
-from .features import (
-    FeatureMatrix,
-    WalkConfig,
-    normalize_features,
-    random_walk_features,
-    user_feature_matrix,
-)
+from .features import WalkConfig, featurize_graph, user_feature_matrix
 from .graphs import (
     CascadeGraph,
     SeedSet,

@@ -148,4 +148,4 @@ def greedy_dcover(g: CascadeGraph, budget: int, d: int = 1):
                 chosen[v] = True
                 if len(picked) == budget:
                     break
-    return SeedSet(tuple(picked), budget / g.n)
+    return SeedSet(tuple(picked))

@@ -377,9 +377,7 @@ def cmd_score(args) -> int:
     params, model_cfg, walk_cfg = _load_model(args.checkpoint)
     g = load_cascade(args.cascade)
     user, struct = featurize_graph(g, walk_cfg, args.seed, 0)
-    scores, s_user, s_struct, weights = score_graph(
-        g, params, model_cfg, user.values, struct.values
-    )
+    scores, s_user, s_struct, weights = score_graph(g, params, model_cfg, user, struct)
     seeds = select_seeds(scores, args.fraction).members
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(scores_csv(scores, s_user, s_struct, weights, seeds))
@@ -427,8 +425,7 @@ def cmd_compare(args) -> int:
         no_memory = ParamStore({k: v for k, v in params.items() if k in keep})
         scores = {name: [] for name in ["mmen"] + [f"mmen-{a}" for a in ablations]}
         for gi, g in enumerate(graphs):
-            user, struct = featurize_graph(g, walk_cfg, args.seed, gi)
-            views = (user.values, struct.values)
+            views = featurize_graph(g, walk_cfg, args.seed, gi)
             full, s_user, s_struct, _ = score_graph(g, params, model_cfg, *views)
             mixed = s_struct if s_user is None else 0.5 * s_user + 0.5 * s_struct
             derived = {"mmen": full, "mmen-no-user": s_struct, "mmen-no-fusion": mixed}

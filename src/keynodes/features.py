@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,74 +22,49 @@ _USER_LOG_COLS = (0, 1, 2, 3, 4, 7)
 class WalkConfig:
     walks_per_node: int = 10
     walk_len: int = 4
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.walks_per_node < 1 or self.walk_len < 1:
             raise DataError("walks_per_node and walk_len must be >= 1")
-        if self.rng_seed < 0:
-            raise DataError("rng_seed must be >= 0")
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    values: np.ndarray  # (N, F) float64
-    view_tag: str  # "user" | "structure"
-
-    def __post_init__(self):
-        if self.view_tag not in ("user", "structure"):
-            raise DataError(f"unknown view tag {self.view_tag!r}")
-        if not np.isfinite(self.values).all():
-            raise DataError(f"{self.view_tag} features contain NaN/Inf")
-
-
-def user_feature_matrix(g: CascadeGraph) -> FeatureMatrix:
-    """Raw (unnormalized) user-attribute view, one row per node.
+def user_feature_matrix(g: CascadeGraph) -> np.ndarray:
+    """Raw (unnormalized) (N, 9) user-attribute view, one row per node.
 
     Columns: name chars, description chars, followers, friends, statuses,
     verified, geo_enabled, retweet delay seconds, hops from the source.
     A node's retweet delay is the smallest delay of its kept in-edges, 0 if
     it has none.  Absent fields map to 0; an unreachable node has 0 hops.
     """
-    dist = g.source_hops
-    mat = np.zeros((g.n, USER_DIM), dtype=np.float64)
+    users = g.users
+    mat = np.empty((g.n, USER_DIM), dtype=np.float64)
+    mat[:, 0] = [len(u.name or "") for u in users]
+    mat[:, 1] = [len(u.description or "") for u in users]
+    mat[:, 2] = [u.followers_count or 0 for u in users]
+    mat[:, 3] = [u.friends_count or 0 for u in users]
+    mat[:, 4] = [u.statuses_count or 0 for u in users]
+    mat[:, 5] = [bool(u.verified) for u in users]
+    mat[:, 6] = [bool(u.geo_enabled) for u in users]
     delay = np.full(g.n, np.inf)
     np.minimum.at(delay, g.edges[:, 1], g.delays)
     mat[:, 7] = np.where(np.isfinite(delay), delay, 0.0)
-    for v in range(g.n):
-        u = g.users[v] if g.users is not None else None
-        if u is not None:
-            mat[v, 0] = len(u.name) if u.name is not None else 0
-            mat[v, 1] = len(u.description) if u.description is not None else 0
-            mat[v, 2] = u.followers_count or 0
-            mat[v, 3] = u.friends_count or 0
-            mat[v, 4] = u.statuses_count or 0
-            mat[v, 5] = 1.0 if u.verified else 0.0
-            mat[v, 6] = 1.0 if u.geo_enabled else 0.0
-        mat[v, 8] = max(int(dist[v]), 0)
-    return FeatureMatrix(mat, "user")
+    mat[:, 8] = np.maximum(g.source_hops, 0)
+    return mat
 
 
-def _zscore(mat: np.ndarray) -> np.ndarray:
+def _zscore(mat: np.ndarray, view: str) -> np.ndarray:
+    """Every column z-scored; zero-variance columns become all zeros."""
     mean = mat.mean(axis=0)
     std = mat.std(axis=0)
     safe = np.where(std > 0, std, 1.0)
     out = (mat - mean) / safe
     out[:, std == 0] = 0.0
+    if not np.isfinite(out).all():
+        raise DataError(f"{view} features contain NaN/Inf")
     return out
 
 
-def normalize_features(m: FeatureMatrix) -> FeatureMatrix:
-    """Per-graph normalization: log(1+x) on count-like user columns, then
-    z-score every column; zero-variance columns become all zeros."""
-    vals = m.values.astype(np.float64, copy=True)
-    if m.view_tag == "user":
-        for c in _USER_LOG_COLS:
-            vals[:, c] = np.log1p(vals[:, c])
-    return FeatureMatrix(_zscore(vals), m.view_tag)
-
-
-def raw_walk_statistics(g: CascadeGraph, cfg: WalkConfig) -> np.ndarray:
+def raw_walk_statistics(g: CascadeGraph, cfg: WalkConfig, seed: int) -> np.ndarray:
     """Unnormalized (N, 8) walk statistics.
 
     Columns: out-degree and in-degree (each over n-1), mean and max
@@ -97,17 +72,24 @@ def raw_walk_statistics(g: CascadeGraph, cfg: WalkConfig) -> np.ndarray:
     fraction of walks that ran the full length without getting stuck, and
     mean depth reached.  All N * walks_per_node walks advance together over
     the graph's CSR (``CascadeGraph.csr``), drawing from one generator seeded
-    with ``cfg.rng_seed``, so the draws depend only on (graph, rng_seed), not
-    on edge order.
+    with ``seed``, so the draws depend only on (graph, seed), not on edge
+    order.  Walk arrays too large to allocate are a DataError, raised before
+    any draw.
     """
     n, walks, steps = g.n, cfg.walks_per_node, cfg.walk_len
     indptr, indices = g.csr
     outdeg = np.diff(indptr)
-    start = np.repeat(np.arange(n), walks)
+    try:
+        start = np.repeat(np.arange(n), walks)
+        stuck = np.zeros(start.size, dtype=bool)
+        visited = np.empty((start.size, steps), dtype=np.int64)
+    except (MemoryError, ValueError, OverflowError):
+        raise DataError(
+            f"cannot allocate the random walks: walks_per_node={walks} x walk_len={steps} "
+            f"steps for each of N={n} nodes"
+        ) from None
     cur, depth, depth_sum = start, 0, 0
-    stuck = np.zeros(start.size, dtype=bool)
-    visited = np.empty((start.size, steps), dtype=np.int64)
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(seed)
     for t in range(steps):
         deg = outdeg[cur]
         move = deg > 0
@@ -141,32 +123,29 @@ def raw_walk_statistics(g: CascadeGraph, cfg: WalkConfig) -> np.ndarray:
     return stats
 
 
-def random_walk_features(g: CascadeGraph, cfg: WalkConfig) -> FeatureMatrix:
-    """Structural view: per-graph z-scored random-walk statistics."""
-    return FeatureMatrix(_zscore(raw_walk_statistics(g, cfg)), "structure")
-
-
 def featurize_graph(
     g: CascadeGraph, walk_cfg: WalkConfig, master_seed: int, graph_index: int
-) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """Both normalized views for one graph of a dataset, deterministically
-    keyed by (master seed, graph index)."""
-    user = normalize_features(user_feature_matrix(g))
-    wcfg = replace(walk_cfg, rng_seed=derived_seed(master_seed, graph_index))
-    struct = random_walk_features(g, wcfg)
-    return user, struct
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both per-graph z-scored views of one graph of a dataset: the (N, 9)
+    user view, log(1+x) on its count columns first, and the (N, 8)
+    structure view, its walks seeded by (master seed, graph index).  A view
+    holding NaN/Inf is a DataError naming it."""
+    user = user_feature_matrix(g)
+    for c in _USER_LOG_COLS:
+        user[:, c] = np.log1p(user[:, c])
+    user = _zscore(user, "user")
+    struct = raw_walk_statistics(g, walk_cfg, derived_seed(master_seed, graph_index))
+    return user, _zscore(struct, "structure")
 
 
-def dump_features_csv(
-    user: FeatureMatrix, struct: FeatureMatrix, path
-) -> None:
+def dump_features_csv(user: np.ndarray, struct: np.ndarray, path) -> None:
     """Write both views as ``node,view,f0..f8`` rows (structure leaves f8 empty)."""
-    width = max(user.values.shape[1], struct.values.shape[1])
+    width = max(user.shape[1], struct.shape[1])
     header = "node,view," + ",".join(f"f{i}" for i in range(width))
     lines = [header + "\n"]
     for tag, m in (("user", user), ("structure", struct)):
-        for v in range(m.values.shape[0]):
-            cells = [repr(float(x)) for x in m.values[v]]
+        for v in range(m.shape[0]):
+            cells = [repr(float(x)) for x in m[v]]
             cells += [""] * (width - len(cells))
             lines.append(f"{v},{tag}," + ",".join(cells) + "\n")
     with open(path, "w", encoding="utf-8") as fh:

@@ -37,16 +37,13 @@ _PROFILE_FIELDS = (
 
 @dataclass(frozen=True)
 class SeedSet:
-    """An ordered pick of key nodes; fraction is the share of N it targets."""
+    """An ordered pick of distinct key nodes."""
 
     members: tuple[int, ...]
-    fraction: float
 
     def __post_init__(self):
         if len(set(self.members)) != len(self.members):
             raise DataError("seed members must be distinct")
-        if not (0 < self.fraction <= 1):
-            raise DataError(f"fraction must be in (0, 1], got {self.fraction}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,9 @@ class CascadeGraph:
     """Immutable directed graph of one cascade.
 
     Construction deduplicates edges and drops self-loops (adjacency is a
-    set).  Every derived structure is built on first use and cached.
+    set).  ``users`` holds one UserRecord per node, ``UserRecord()`` for
+    every node when none are given.  Every derived structure is built on
+    first use and cached.
     """
 
     def __init__(self, n, edges, delays=None, users=None, labels=None, source=None):
@@ -77,13 +76,17 @@ class CascadeGraph:
             raise DataError("graph needs at least one node")
         self.n = int(n)
         self.edges, self.delays = _dedupe_edges(self.n, edges, delays)
-        if users is not None and len(users) != n:
+        users = (UserRecord(),) * self.n if users is None else tuple(users)
+        if len(users) != n:
             raise DataError("users must have one entry per node")
+        bad = next((v for v, u in enumerate(users) if not isinstance(u, UserRecord)), None)
+        if bad is not None:
+            raise DataError(f"users entry {bad} is {type(users[bad]).__name__}, not a UserRecord")
         if labels is not None and len(labels) != n:
             raise DataError(f"labels must have one entry per node, got {len(labels)} for n={n}")
         if source is not None and not (0 <= int(source) < n):
             raise DataError(f"source {source} out of range for n={n}")
-        self.users = tuple(users) if users is not None else None
+        self.users = users
         self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
         self._csr = None
         self._und_graph = None
@@ -385,7 +388,7 @@ def save_cascade(g: CascadeGraph, dir_path) -> None:
     with open(d / "edges.tsv", "w", encoding="utf-8") as fh:
         fh.writelines(lines)
 
-    if g.users is None or not any(u is not None and u.has_profile() for u in g.users):
+    if not any(u.has_profile() for u in g.users):
         return
 
     def cell(val):
@@ -399,7 +402,7 @@ def save_cascade(g: CascadeGraph, dir_path) -> None:
         fh.write("\t".join(_USERS_HEADER) + "\n")
         for v in range(g.n):
             u = g.users[v]
-            if u is None or not u.has_profile():
+            if not u.has_profile():
                 continue
             cells = [g.labels[v]] + [cell(getattr(u, f)) for f in _PROFILE_FIELDS]
             fh.write("\t".join(cells) + "\n")

@@ -63,7 +63,7 @@ def select_seeds(scores: np.ndarray, fraction: float) -> SeedSet:
     scores = np.asarray(scores, dtype=np.float64).ravel()
     k = math.ceil(fraction * scores.size)
     order = ranked_order(scores)
-    return SeedSet(tuple(int(v) for v in order[:k]), fraction)
+    return SeedSet(tuple(int(v) for v in order[:k]))
 
 
 def coverage_loss(tape: Tape, scores_id, g: CascadeGraph, lam: float, d: int, pairs=None):
@@ -92,14 +92,14 @@ def coverage_loss(tape: Tape, scores_id, g: CascadeGraph, lam: float, d: int, pa
     return tape.record("add", [uncovered, seed_size])
 
 
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: ParamStore
     v: ParamStore
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: ParamStore) -> "AdamState":
@@ -109,7 +109,7 @@ class AdamState:
 def adam_step(params: ParamStore, grads: dict, state: AdamState, lr: float) -> ParamStore:
     """Standard bias-corrected Adam update, in place."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     for name in params.names():
@@ -118,7 +118,7 @@ def adam_step(params: ParamStore, grads: dict, state: AdamState, lr: float) -> P
         state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
         m_hat = state.m[name] / c1
         v_hat = state.v[name] / c2
-        params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     return params
 
 
@@ -141,7 +141,7 @@ def prepare_graphs(
     bundles = []
     for i, g in enumerate(graphs):
         user, struct = featurize_graph(g, walk_cfg, cfg.rng_seed, index_offset + i)
-        bundles.append(GraphBundle(g, user.values, struct.values, cover_pairs(g, cfg.d_cover)))
+        bundles.append(GraphBundle(g, user, struct, cover_pairs(g, cfg.d_cover)))
     return bundles
 
 

@@ -60,7 +60,7 @@ def test_c1_gradient_correctness():
     def f(ps, want_grad=False):
         tape = Tape()
         binding = bind_params(tape, ps)
-        fwd = mmen_forward(tape, g, user.values, struct.values, ps, cfg, binding=binding)
+        fwd = mmen_forward(tape, g, user, struct, ps, cfg, binding=binding)
         lid = coverage_loss(tape, fwd.score, g, 1.0, 1, pairs=pairs)
         if not want_grad:
             return tape.value(lid).item()

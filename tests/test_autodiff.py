@@ -478,7 +478,7 @@ def _model_loss_tape(n=60, seed=3):
     params = init_params(cfg, 0)
     tape = Tape()
     binding = bind_params(tape, params)
-    fwd = mmen_forward(tape, g, user.values, struct.values, params, cfg, binding=binding)
+    fwd = mmen_forward(tape, g, user, struct, params, cfg, binding=binding)
     return tape, coverage_loss(tape, fwd.score, g, 1.0, 1), (g, user, struct, params, cfg)
 
 
@@ -517,7 +517,7 @@ class TestNoGrad:
     def test_model_forward_keeps_no_nodes(self):
         _, _, (g, user, struct, params, cfg) = _model_loss_tape()
         tape = Tape(grad=False)
-        fwd = mmen_forward(tape, g, user.values, struct.values, params, cfg)
+        fwd = mmen_forward(tape, g, user, struct, params, cfg)
         assert tape.nodes == []
         assert fwd.score.shape == (g.n, 1) and np.isfinite(fwd.score).all()
 
@@ -572,7 +572,7 @@ def keep_everything(monkeypatch):
 def _cascade(n):
     g = synth_cascade(n, 0.1, 0.5, 1)
     user, struct = featurize_graph(g, WalkConfig(), 0, 0)
-    return g, user.values, struct.values
+    return g, user, struct
 
 
 def _loss_and_grads(n, ablate):
@@ -675,7 +675,7 @@ class TestValueRelease:
 
         def run(tape):
             with np.errstate(over="ignore", invalid="ignore"):
-                fwd = mmen_forward(tape, g, user.values, struct.values, params, cfg)
+                fwd = mmen_forward(tape, g, user, struct, params, cfg)
                 return coverage_loss(tape, fwd.score, g, 1.0, 1)
 
         def recorded_tape():
@@ -685,7 +685,7 @@ class TestValueRelease:
 
         def score_error():
             with pytest.raises(NumericError) as err, np.errstate(over="ignore", invalid="ignore"):
-                score_graph(g, params, cfg, user.values, struct.values)
+                score_graph(g, params, cfg, user, struct)
             return str(err.value)
 
         nid, node = first_nonfinite(run)

@@ -387,7 +387,7 @@ class TestScore:
         g = cli.load_cascade(dataset / "g002")
         user, struct = featurize_graph(g, WalkConfig(), 5, 0)
         weights = ParamStore({k: v for k, v in store.items() if k != "meta"})
-        scores, s_user, s_struct, w = score_graph(g, weights, ModelConfig(), user.values, struct.values)
+        scores, s_user, s_struct, w = score_graph(g, weights, ModelConfig(), user, struct)
         assert (s_user is None) == ("no-user" in ablate)
         seeds = set(training.select_seeds(scores, 0.05).members)
         w_user, w_stru = (0.0, 1.0) if w is None else (float(w[0]), float(w[1]))
@@ -422,7 +422,7 @@ class TestScore:
         assert lines[0] == "node,view," + ",".join(f"f{i}" for i in range(USER_DIM))
         assert lines[-1] == "" and len(lines) - 2 == 2 * g.n
         want = [
-            [str(v), tag, *map(repr, m.values[v].tolist()), *[""] * (USER_DIM - m.values.shape[1])]
+            [str(v), tag, *map(repr, m[v].tolist()), *[""] * (USER_DIM - m.shape[1])]
             for tag, m in (("user", user), ("structure", struct))
             for v in range(g.n)
         ]
@@ -653,12 +653,12 @@ class TestCompare:
             )
             assert rc == 0
             assert len(forwards) == 2  # the full model and mmen-no-memory
-            full = score_graph(g, params, model_cfg, user.values, struct.values)[0]
+            full = score_graph(g, params, model_cfg, user, struct)[0]
             assert np.array_equal(seen["mmen"][0], full)
             for a in ABLATIONS:
                 keep = param_shapes(model_cfg, base | {a})
                 reduced = ParamStore({k: v for k, v in params.items() if k in keep})
-                want = score_graph(g, reduced, model_cfg, user.values, struct.values)[0]
+                want = score_graph(g, reduced, model_cfg, user, struct)[0]
                 assert np.array_equal(seen[f"mmen-{a}"][0], want), (sorted(base), a)
 
     def test_variant_rows_follow_mmen(self, dataset, trained, tmp_path):
@@ -716,6 +716,34 @@ class TestCompare:
         )
         assert rc == 0
         assert out.read_text().startswith(REPORT_HEADER)
+
+
+class TestImpossibleWalkSizes:
+    """Walk arrays too large to allocate exit 2 with one error line that
+    names the walk sizes, from a checkpoint's meta row or from a flag."""
+
+    @pytest.mark.parametrize("verb", ["score", "compare", "train"])
+    def test_walk_len_past_memory_exit_2(self, dataset, trained, tmp_path, capsys, verb):
+        huge = 10**12
+        if verb == "train":
+            argv = ["train", "--data", str(dataset), "--out", str(tmp_path / "run"),
+                    "--walk-len", str(huge)]
+        else:
+            params = load_checkpoint(trained / "best.ckpt")
+            meta = params["meta"].copy()
+            meta[0, 6] = huge  # walk_len
+            params["meta"] = meta
+            ckpt = tmp_path / "walks.ckpt"
+            save_checkpoint(params, ckpt)
+            argv = [verb, "--checkpoint", str(ckpt), "--out", str(tmp_path / "out.csv")]
+            argv += (["--cascade", str(dataset / "g000")] if verb == "score"
+                     else ["--data", str(dataset), "--runs", "2"])
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert f"walks_per_node=10 x walk_len={huge} steps for each of N=" in err[0]
+        assert not (tmp_path / "out.csv").exists()
+        assert not (tmp_path / "run" / "best.ckpt").exists()
 
 
 class TestHostileInputs:

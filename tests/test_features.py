@@ -6,11 +6,8 @@ from keynodes.errors import DataError
 from keynodes.features import (
     STRUCT_DIM,
     USER_DIM,
-    FeatureMatrix,
     WalkConfig,
     featurize_graph,
-    normalize_features,
-    random_walk_features,
     raw_walk_statistics,
     user_feature_matrix,
 )
@@ -18,7 +15,7 @@ from keynodes.graphs import CascadeGraph, UserRecord, synth_cascade
 from keynodes.seeding import derived_seed
 
 
-def loop_walk_statistics(g, cfg):
+def loop_walk_statistics(g, cfg, seed):
     """Reference walker: one Python loop per node and step, each node drawing
     from its own derived RNG stream.  Same distribution as
     raw_walk_statistics, different draws."""
@@ -29,7 +26,7 @@ def loop_walk_statistics(g, cfg):
     steps_total = cfg.walks_per_node * cfg.walk_len
     stats = np.zeros((g.n, STRUCT_DIM), dtype=np.float64)
     for v in range(g.n):
-        rng = np.random.default_rng(derived_seed(cfg.rng_seed, v))
+        rng = np.random.default_rng(derived_seed(seed, v))
         visited, distinct = [], {v}
         returns = depth_sum = full_walks = 0
         for _ in range(cfg.walks_per_node):
@@ -63,13 +60,13 @@ def loop_walk_statistics(g, cfg):
 class TestUserView:
     def test_fully_absent_record_is_zero(self):
         g = CascadeGraph(3, [(0, 1), (0, 2)], users=[UserRecord()] * 3, source=0)
-        assert np.array_equal(user_feature_matrix(g).values[0], np.zeros(USER_DIM))
+        assert np.array_equal(user_feature_matrix(g)[0], np.zeros(USER_DIM))
 
     def test_direct_read_off(self):
         users = [UserRecord()] * 2 + [UserRecord(name="ab", verified=True)]
         g = CascadeGraph(3, [(0, 1), (1, 2)], users=users, source=0)
         expect = np.array([2, 0, 0, 0, 0, 1, 0, 0, 2], dtype=float)
-        assert np.array_equal(user_feature_matrix(g).values[2], expect)
+        assert np.array_equal(user_feature_matrix(g)[2], expect)
 
     def test_path_length_matches_bfs_oracle(self):
         import networkx as nx
@@ -78,57 +75,76 @@ class TestUserView:
         nxg = nx.DiGraph(list(map(tuple, g.edges)))
         nxg.add_nodes_from(range(g.n))
         lengths = nx.single_source_shortest_path_length(nxg, g.source)
-        values = user_feature_matrix(g).values
+        values = user_feature_matrix(g)
         for v in range(g.n):
             assert values[v, 8] == lengths.get(v, 0)
 
     def test_out_of_range_node(self):
         g = path_graph(3)
-        m = user_feature_matrix(g)
-        assert m.view_tag == "user"
-        assert m.values.shape == (g.n, USER_DIM)  # no row past node n-1
+        assert user_feature_matrix(g).shape == (g.n, USER_DIM)  # no row past node n-1
 
     def test_graph_without_user_table(self):
         g = path_graph(4)  # no users at all
-        vec = user_feature_matrix(g).values[3]
+        vec = user_feature_matrix(g)[3]
         assert np.array_equal(vec, np.array([0, 0, 0, 0, 0, 0, 0, 0, 3], dtype=float))
 
 
 class TestNormalize:
     def test_constant_column_becomes_zero(self):
-        m = FeatureMatrix(np.ones((5, USER_DIM)), "user")
-        out = normalize_features(m)
-        assert np.array_equal(out.values, np.zeros((5, USER_DIM)))
+        g = CascadeGraph(5, [])  # every profile, hop count and walk alike
+        user, struct = featurize_graph(g, WalkConfig(), 0, 0)
+        assert np.array_equal(user, np.zeros((5, USER_DIM)))
+        assert np.array_equal(struct, np.zeros((5, STRUCT_DIM)))
 
     def test_zscore_moments(self):
-        rng = np.random.default_rng(0)
-        m = FeatureMatrix(rng.gamma(2.0, 10.0, size=(200, USER_DIM)), "user")
-        out = normalize_features(m).values
-        assert np.abs(out.mean(axis=0)).max() < 1e-9
-        assert np.abs(out.std(axis=0) - 1.0).max() < 1e-9
+        g = synth_cascade(200, 0.1, 0.5, 3)
+        for view in featurize_graph(g, WalkConfig(), 0, 0):
+            varied = view.std(axis=0) > 0
+            assert varied.sum() >= 6
+            assert np.abs(view.mean(axis=0)).max() < 1e-9
+            assert np.abs(view[:, varied].std(axis=0) - 1.0).max() < 1e-9
 
     def test_log_transform_reduces_skew(self):
         from scipy.stats import skew
 
         rng = np.random.default_rng(3)
-        vals = np.zeros((400, USER_DIM))
-        vals[:, 2] = rng.lognormal(4.0, 1.5, size=400)  # heavy-tailed follower counts
-        before = skew(np.asarray(vals[:, 2]))
-        out = normalize_features(FeatureMatrix(vals, "user")).values
-        assert abs(skew(out[:, 2])) < abs(before)
+        followers = rng.lognormal(4.0, 1.5, size=400).astype(int)  # heavy-tailed counts
+        users = [UserRecord(followers_count=int(f)) for f in followers]
+        g = CascadeGraph(400, [], users=users)
+        user, _ = featurize_graph(g, WalkConfig(), 0, 0)
+        assert abs(skew(user[:, 2])) < abs(skew(followers))
+        log = np.log1p(followers)
+        assert np.allclose(user[:, 2], (log - log.mean()) / log.std(), rtol=0, atol=1e-12)
 
     def test_structure_view_skips_log(self):
-        vals = np.array([[-2.0, 1.0] + [0.0] * (STRUCT_DIM - 2)] * 4)
-        vals[0, 0] = 2.0
-        out = normalize_features(FeatureMatrix(vals, "structure"))
-        assert np.isfinite(out.values).all()  # log1p on negatives would NaN
+        g = synth_cascade(60, 0.1, 0.3, 2)
+        _, struct = featurize_graph(g, WalkConfig(), 4, 1)
+        raw = raw_walk_statistics(g, WalkConfig(), derived_seed(4, 1))
+        std = raw.std(axis=0)
+        want = (raw - raw.mean(axis=0)) / np.where(std > 0, std, 1.0)
+        want[:, std == 0] = 0.0
+        assert np.array_equal(struct, want)
+
+    @pytest.mark.parametrize("view", ["user", "structure"])
+    def test_non_finite_view_is_a_data_error(self, monkeypatch, view):
+        import keynodes.features as features
+
+        raw = features.user_feature_matrix if view == "user" else features.raw_walk_statistics
+
+        def poisoned(*args):
+            out = raw(*args)
+            out[0, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(features, raw.__name__, poisoned)
+        with pytest.raises(DataError, match=f"^{view} features contain NaN/Inf$"):
+            featurize_graph(synth_cascade(40, 0.1, 0.3, 1), WalkConfig(), 0, 0)
 
 
 class TestWalks:
     def test_isolated_node_statistics(self):
         g = CascadeGraph(3, [(0, 1)])  # node 2 isolated
-        cfg = WalkConfig(walks_per_node=6, walk_len=4, rng_seed=1)
-        raw = raw_walk_statistics(g, cfg)
+        raw = raw_walk_statistics(g, WalkConfig(walks_per_node=6, walk_len=4), 1)
         v = 2
         assert raw[v, 0] == 0 and raw[v, 1] == 0  # degree features
         assert raw[v, 4] == 1.0  # every stuck step restarts home
@@ -138,19 +154,16 @@ class TestWalks:
 
     def test_star_center_visits_more_distinct_nodes(self):
         g = star_graph(8)
-        cfg = WalkConfig(walks_per_node=10, walk_len=4, rng_seed=2)
-        raw = raw_walk_statistics(g, cfg)
+        raw = raw_walk_statistics(g, WalkConfig(walks_per_node=10, walk_len=4), 2)
         assert raw[0, 5] > raw[1, 5]
 
     def test_dims_and_determinism(self):
         g = synth_cascade(50, 0.1, 0.2, 8)
-        cfg = WalkConfig(rng_seed=9)
-        a = random_walk_features(g, cfg)
-        b = random_walk_features(g, cfg)
-        assert a.view_tag == "structure"
-        assert a.values.shape == (g.n, STRUCT_DIM)
-        assert np.array_equal(a.values, b.values)
-        assert user_feature_matrix(g).values.shape[1] == USER_DIM
+        a = featurize_graph(g, WalkConfig(), 9, 0)
+        b = featurize_graph(g, WalkConfig(), 9, 0)
+        assert [m.shape for m in a] == [(g.n, USER_DIM), (g.n, STRUCT_DIM)]
+        assert all(m.dtype == np.float64 for m in a)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_monte_carlo_oracle(self):
         """Per-walk statistics agree with an independently coded walker
@@ -158,8 +171,7 @@ class TestWalks:
         rng = np.random.default_rng(14)
         g = random_digraph(rng, 25, 0.08)
         walks, length = 10, 4
-        cfg = WalkConfig(walks_per_node=walks, walk_len=length, rng_seed=77)
-        raw = raw_walk_statistics(g, cfg)
+        raw = raw_walk_statistics(g, WalkConfig(walks_per_node=walks, walk_len=length), 77)
         adj = csr_rows(g)
 
         def oracle_walk(start, rng):
@@ -198,9 +210,9 @@ class TestWalks:
             g = random_digraph(np.random.default_rng(int(graph[-1])), 60, 0.04)
         if symmetric:
             g = g.undirected()
-        cfg = WalkConfig(walks_per_node=10, walk_len=4, rng_seed=5)
-        got = raw_walk_statistics(g, cfg)
-        ref = loop_walk_statistics(g, cfg)
+        cfg = WalkConfig(walks_per_node=10, walk_len=4)
+        got = raw_walk_statistics(g, cfg, 5)
+        ref = loop_walk_statistics(g, cfg, 5)
         assert np.array_equal(got[:, :2], ref[:, :2])
         diff = got[:, 2:] - ref[:, 2:]
         stderr = diff.std(axis=0, ddof=1) / np.sqrt(g.n)
@@ -213,8 +225,8 @@ class TestWalks:
             g = g.undirected()
         perm = np.random.default_rng(2).permutation(len(g.edges))
         g2 = CascadeGraph(g.n, g.edges[perm], source=g.source)
-        cfg = WalkConfig(rng_seed=11)
-        assert np.array_equal(raw_walk_statistics(g, cfg), raw_walk_statistics(g2, cfg))
+        cfg = WalkConfig()
+        assert np.array_equal(raw_walk_statistics(g, cfg, 11), raw_walk_statistics(g2, cfg, 11))
 
     def test_one_derived_seed_per_graph(self, monkeypatch):
         import keynodes.features as features
@@ -235,7 +247,7 @@ class TestWalks:
         g = synth_cascade(5000, 0.1, 0.3, 5)
         tracemalloc.start()
         try:
-            raw_walk_statistics(g, WalkConfig(rng_seed=1))
+            raw_walk_statistics(g, WalkConfig(), 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -247,10 +259,10 @@ class TestWalks:
         than the walk loop does: under 4.5 (N, walks * steps) int64 arrays."""
         import tracemalloc
 
-        g, cfg = synth_cascade(5000, 0.1, 0.5, 1), WalkConfig(rng_seed=1)
+        g, cfg = synth_cascade(5000, 0.1, 0.5, 1), WalkConfig()
         tracemalloc.start()
         try:
-            raw_walk_statistics(g, cfg)
+            raw_walk_statistics(g, cfg, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -261,10 +273,10 @@ class TestWalks:
         statistics peak under 3.6 (N, walks * steps) arrays (3.9 with them)."""
         import tracemalloc
 
-        g, cfg = synth_cascade(5000, 0.1, 0.5, 1), WalkConfig(rng_seed=1)
+        g, cfg = synth_cascade(5000, 0.1, 0.5, 1), WalkConfig()
         tracemalloc.start()
         try:
-            raw_walk_statistics(g, cfg)
+            raw_walk_statistics(g, cfg, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -272,14 +284,14 @@ class TestWalks:
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_edgeless_and_sink_only_nodes(self, symmetric):
-        cfg = WalkConfig(walks_per_node=3, walk_len=5, rng_seed=4)
+        cfg = WalkConfig(walks_per_node=3, walk_len=5)
         sink_row = [0.0, 0.0, 0.0, 0.0, 1.0, 1 / 16, 0.0, 0.0]
         edgeless, fan_in = CascadeGraph(4, []), CascadeGraph(3, [(0, 2), (1, 2)])
         if symmetric:
             edgeless, fan_in = edgeless.undirected(), fan_in.undirected()
-        raw = raw_walk_statistics(edgeless, cfg)
+        raw = raw_walk_statistics(edgeless, cfg, 4)
         assert np.array_equal(raw, np.tile(sink_row, (4, 1)))
-        raw = raw_walk_statistics(fan_in, cfg)
+        raw = raw_walk_statistics(fan_in, cfg, 4)
         assert np.isfinite(raw).all()
         if not symmetric:  # node 2 has only in-edges
             assert np.array_equal(raw[2, 2:], sink_row[2:])
@@ -289,6 +301,15 @@ class TestWalks:
             WalkConfig(walks_per_node=0)
         with pytest.raises(DataError):
             WalkConfig(walk_len=0)
+
+    @pytest.mark.parametrize("walks, length", [(10, 10**12), (10**12, 4), (10, 10**18), (10**30, 4)])
+    def test_unallocatable_walks_are_a_data_error(self, walks, length):
+        """Too much memory, too many bytes for one array, too many walks for
+        a C long: each is a DataError that names the sizes."""
+        cfg = WalkConfig(walks_per_node=walks, walk_len=length)
+        want = f"walks_per_node={walks} x walk_len={length} steps for each of N=30 nodes"
+        with pytest.raises(DataError, match=want):
+            raw_walk_statistics(path_graph(30), cfg, 0)
 
 
 class TestEquivariance:
@@ -301,8 +322,8 @@ class TestEquivariance:
         for v in range(g.n):
             users[perm[v]] = g.users[v]
         g2 = CascadeGraph(g.n, edges, delays=list(g.delays), users=users, source=int(perm[g.source]))
-        m1 = user_feature_matrix(g).values
-        m2 = user_feature_matrix(g2).values
+        m1 = user_feature_matrix(g)
+        m2 = user_feature_matrix(g2)
         assert np.array_equal(m2[perm], m1)
 
     def test_structural_degree_columns_permute_with_labels(self):
@@ -310,7 +331,6 @@ class TestEquivariance:
         perm = np.random.default_rng(1).permutation(g.n)
         edges = [(perm[a], perm[b]) for a, b in g.edges]
         g2 = CascadeGraph(g.n, edges, source=int(perm[g.source]))
-        cfg = WalkConfig(rng_seed=3)
-        r1 = raw_walk_statistics(g, cfg)
-        r2 = raw_walk_statistics(g2, cfg)
+        r1 = raw_walk_statistics(g, WalkConfig(), 3)
+        r2 = raw_walk_statistics(g2, WalkConfig(), 3)
         assert np.array_equal(r2[perm][:, :2], r1[:, :2])

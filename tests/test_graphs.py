@@ -26,7 +26,7 @@ from keynodes.graphs import (
 
 def retweet_delays(g):
     """The user view's retweet delay column."""
-    return user_feature_matrix(g).values[:, 7]
+    return user_feature_matrix(g)[:, 7]
 
 
 def write_cascade(tmp_path, lines, users=None):
@@ -437,6 +437,13 @@ class TestConstruction:
         with pytest.raises(DataError, match="labels"):
             CascadeGraph(3, [(0, 1), (1, 2)], labels=["a"])
 
+    def test_one_user_record_per_node(self):
+        assert CascadeGraph(3, [(0, 1)]).users == (UserRecord(),) * 3
+        with pytest.raises(DataError, match="users must have one entry per node"):
+            CascadeGraph(3, [(0, 1)], users=[UserRecord()] * 2)
+        with pytest.raises(DataError, match="users entry 1 is NoneType, not a UserRecord"):
+            CascadeGraph(3, [(0, 1)], users=[UserRecord(), None, UserRecord()])
+
     def test_first_bad_edge_named(self):
         with pytest.raises(DataError, match=r"edge \(3,0\)"):
             CascadeGraph(3, [(0, 1), (3, 0), (0, -1)])
@@ -521,7 +528,7 @@ class TestConstruction:
         bfs = graphs._bfs
         monkeypatch.setattr(graphs, "_bfs", lambda adj, v, *a: starts.append(v) or bfs(adj, v, *a))
         g = CascadeGraph(6, [(3, 0), (3, 1), (1, 2), (2, 4), (0, 4), (4, 5)], source=source)
-        hops = user_feature_matrix(g).values[:, 8]
+        hops = user_feature_matrix(g)[:, 8]
         user_feature_matrix(g)
         assert starts == [3]
         assert np.array_equal(hops, [1, 1, 2, 0, 2, 3])

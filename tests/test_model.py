@@ -155,7 +155,7 @@ class TestFusedOpCounts:
         cfg = ModelConfig()
         user, struct = featurize_graph(g, WalkConfig(), 0, 0)
         tape = Tape()
-        fwd = mmen_forward(tape, g, user.values, struct.values, init_params(cfg, 0), cfg)
+        fwd = mmen_forward(tape, g, user, struct, init_params(cfg, 0), cfg)
         coverage_loss(tape, fwd.score, g, 1.0, 1)
         # 424 unrolled, 240 with per-head leaves, 176 with conv_b, 168 with five message ops
         assert len(tape.nodes) == 152
@@ -167,7 +167,7 @@ class TestFusedOpCounts:
         cfg = ModelConfig()
         user, struct = featurize_graph(g, WalkConfig(), 0, 0)
         tape = Tape()
-        fwd = mmen_forward(tape, g, user.values, struct.values, init_params(cfg, 0), cfg)
+        fwd = mmen_forward(tape, g, user, struct, init_params(cfg, 0), cfg)
         coverage_loss(tape, fwd.score, g, 1.0, 1)
         messages = (len(attention_indices(g)[0]), cfg.hidden)
         assert [n.op for n in tape.nodes if n.value.shape == messages] == []
@@ -393,7 +393,7 @@ def forward_scores(g, params, cfg, ablate=frozenset(), seed=0):
     keep = param_shapes(cfg, ablate)
     params = ParamStore({k: v for k, v in params.items() if k in keep})
     tape = Tape()
-    fwd = mmen_forward(tape, g, user.values, struct.values, params, cfg)
+    fwd = mmen_forward(tape, g, user, struct, params, cfg)
     return tape, fwd
 
 
@@ -435,7 +435,7 @@ class TestForward:
         params = init_params(SMALL, rng_seed=4)
         user, struct = featurize_graph(g, WalkConfig(), 0, 0)
         tape = Tape()
-        fwd = mmen_forward(tape, g, user.values, struct.values, params, SMALL)
+        fwd = mmen_forward(tape, g, user, struct, params, SMALL)
 
         ref = Tape()
         binding = bind_params(ref, params)
@@ -472,8 +472,8 @@ class TestForward:
             s = score_head(ref, h, binding[f"{view_name}.score.W"], binding[f"{view_name}.score.b"])
             return h, s
 
-        h_s, s2 = view("struct", struct.values)
-        h_u, s1 = view("user", user.values)
+        h_s, s2 = view("struct", struct)
+        h_u, s1 = view("user", user)
         w = fusion_weights(ref, h_u, h_s, binding["fusion.W"], binding["fusion.b"])
         s = fuse_scores(ref, s1, s2, w)
         assert np.array_equal(tape.value(fwd.score), ref.value(s))
@@ -486,13 +486,13 @@ class TestForward:
         perm = rng.permutation(g.n)
         edges = [(perm[a], perm[b]) for a, b in g.edges]
         g2 = CascadeGraph(g.n, edges, source=int(perm[g.source]))
-        u2 = np.empty_like(user.values)
-        s2 = np.empty_like(struct.values)
-        u2[perm] = user.values
-        s2[perm] = struct.values
+        u2 = np.empty_like(user)
+        s2 = np.empty_like(struct)
+        u2[perm] = user
+        s2[perm] = struct
 
         t1 = Tape()
-        f1 = mmen_forward(t1, g, user.values, struct.values, params, SMALL)
+        f1 = mmen_forward(t1, g, user, struct, params, SMALL)
         t2 = Tape()
         f2 = mmen_forward(t2, g2, u2, s2, params, SMALL)
         assert np.abs(t2.value(f2.score)[perm] - t1.value(f1.score)).max() < 1e-12

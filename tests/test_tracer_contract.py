@@ -40,7 +40,7 @@ def test_default_train_step_records_every_traced_op():
     cfg = ModelConfig()
     user, struct = featurize_graph(g, WalkConfig(), 0, 0)
     tape = Tape()
-    fwd = mmen_forward(tape, g, user.values, struct.values, init_params(cfg, 0), cfg)
+    fwd = mmen_forward(tape, g, user, struct, init_params(cfg, 0), cfg)
     tape.backward(coverage_loss(tape, fwd.score, g, 1.0, 1))
     ops = [node.op for node in tape.nodes]
     assert sorted(set(load_tracer().OPS) - set(ops)) == []

@@ -417,7 +417,7 @@ class TestTwoProcesses:
         def poisoned(g, walk_cfg, seed, index):
             user, struct = featurize(g, walk_cfg, seed, index)
             if index == bad:
-                struct.values[0, 0] = np.inf
+                struct[0, 0] = np.inf
             return user, struct
 
         monkeypatch.setattr(training, "featurize_graph", poisoned)
@@ -456,9 +456,9 @@ class TestScoreGraph:
         cfg = ModelConfig()
         params = _store(cfg, ablate)
         tape = Tape()
-        fwd = mmen_forward(tape, g, user.values, struct.values, params, cfg)
+        fwd = mmen_forward(tape, g, user, struct, params, cfg)
         want = [tape.value(i).ravel() for i in (fwd.score, fwd.score_user, fwd.score_struct, fwd.weights)]
-        got = score_graph(g, params, cfg, user.values, struct.values)
+        got = score_graph(g, params, cfg, user, struct)
         assert len(got) == 4
         for w, x in zip(want, got):
             assert x.dtype == w.dtype and np.array_equal(x, w)
@@ -476,8 +476,8 @@ class TestScoreGraph:
             finally:
                 tracemalloc.stop()
 
-        recording = peak(lambda: mmen_forward(Tape(), g, user.values, struct.values, params, cfg))
-        no_grad = peak(lambda: score_graph(g, params, cfg, user.values, struct.values))
+        recording = peak(lambda: mmen_forward(Tape(), g, user, struct, params, cfg))
+        no_grad = peak(lambda: score_graph(g, params, cfg, user, struct))
         assert no_grad < recording / 3, (no_grad, recording)
 
     @pytest.mark.parametrize(
@@ -494,7 +494,7 @@ class TestScoreGraph:
         non-finite node: the feature leaf, numbered as a recording forward numbers it."""
         g = synth_cascade(60, 0.1, 0.3, 3)
         user, struct = featurize_graph(g, WalkConfig(), 0, 0)
-        feats = {"user": user.values.copy(), "struct": struct.values.copy()}
+        feats = {"user": user.copy(), "struct": struct.copy()}
         feats[view][5, 2] = np.nan
         with pytest.raises(NumericError) as err:
             score_graph(g, _store(TINY, ablate), TINY, feats["user"], feats["struct"])
@@ -506,7 +506,7 @@ class TestScoreGraph:
         params = init_params(TINY, 0)
         params["user.gat1.a_dst"] = np.full_like(params["user.gat1.a_dst"], np.nan)
         with pytest.raises(NumericError, match=r"^non-finite score from parameter 'user\.gat1\.a_dst'$"):
-            score_graph(g, params, TINY, user.values, struct.values)
+            score_graph(g, params, TINY, user, struct)
 
 
 def _hub_graph():
@@ -583,7 +583,7 @@ class TestBlockedForward:
         cfg, params = ModelConfig(), init_params(ModelConfig(), 0)
         tracemalloc.start()
         try:
-            score_graph(g, params, cfg, user.values, struct.values)
+            score_graph(g, params, cfg, user, struct)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -598,7 +598,7 @@ class TestBlockedForward:
         cfg, params = ModelConfig(), init_params(ModelConfig(), 0)
         tracemalloc.start()
         try:
-            score_graph(g, params, cfg, user.values, struct.values)
+            score_graph(g, params, cfg, user, struct)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
