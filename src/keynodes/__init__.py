@@ -32,14 +32,7 @@ BLAS_ONE_THREAD = _blas_one_thread()
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .autodiff import ParamStore, Tape, grad_check, load_checkpoint, save_checkpoint
-from .baselines import (
-    RankedScores,
-    degree_centrality,
-    greedy_dcover,
-    h_index,
-    kshell,
-    leaderrank,
-)
+from .baselines import degree_centrality, greedy_dcover, h_index, kshell, leaderrank
 from .epidemic import (
     EvalReport,
     SirConfig,
@@ -53,7 +46,6 @@ from .errors import DataError, NumericError, ShapeError
 from .features import WalkConfig, featurize_graph, user_feature_matrix
 from .graphs import (
     CascadeGraph,
-    SeedSet,
     UserRecord,
     largest_component_size,
     load_cascade,

@@ -1,19 +1,20 @@
 """Classical seed-selection baselines for the comparison harness.
 
-Degree, k-shell, and H-index operate on the undirected view of the cascade
-(their standard definitions); the leader-rank walk keeps edge directions and
-adds a ground node linked both ways to every node.
+Degree is out-degree plus in-degree on the directed cascade, so a
+reciprocal pair counts twice; k-shell and H-index operate on the undirected
+view (their standard definitions); the leader-rank walk keeps edge
+directions and adds a ground node linked both ways to every node.  Each
+ranker returns one float64 score per node.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericError
-from .graphs import CascadeGraph, SeedSet, cover_pairs
+from .graphs import CascadeGraph, cover_pairs
 
 
 def ranked_order(scores) -> np.ndarray:
@@ -22,28 +23,12 @@ def ranked_order(scores) -> np.ndarray:
     return np.lexsort((np.arange(s.size), -s))
 
 
-@dataclass(frozen=True)
-class RankedScores:
-    method: str
-    scores: np.ndarray
-
-    def __post_init__(self):
-        if not np.isfinite(self.scores).all():
-            raise NumericError(f"{self.method}: non-finite scores")
-
-    def order(self) -> np.ndarray:
-        return ranked_order(self.scores)
-
-    def top(self, k: int) -> np.ndarray:
-        return self.order()[:k]
-
-
-def degree_centrality(g: CascadeGraph) -> RankedScores:
+def degree_centrality(g: CascadeGraph) -> np.ndarray:
     """Out-degree + in-degree."""
-    return RankedScores("degree", (g.out_degrees() + g.in_degrees()).astype(np.float64))
+    return (g.out_degrees() + g.in_degrees()).astype(np.float64)
 
 
-def kshell(g: CascadeGraph) -> RankedScores:
+def kshell(g: CascadeGraph) -> np.ndarray:
     """Undirected core number by bucket-queue peeling (Batagelj &
     Zaversnik 2003), O(N + E); score is the shell index."""
     indptr, indices = g.undirected().csr
@@ -66,10 +51,10 @@ def kshell(g: CascadeGraph) -> RankedScores:
                 pos[u], pos[w] = start[du], pos[u]
                 start[du] += 1
                 deg[u] = du - 1
-    return RankedScores("kshell", np.array(deg, dtype=np.float64))
+    return np.array(deg, dtype=np.float64)
 
 
-def h_index(g: CascadeGraph) -> RankedScores:
+def h_index(g: CascadeGraph) -> np.ndarray:
     """Largest h such that the node has >= h neighbors of degree >= h."""
     indptr, indices = g.undirected().csr
     deg = np.diff(indptr)
@@ -78,10 +63,10 @@ def h_index(g: CascadeGraph) -> RankedScores:
     order = np.lexsort((-deg[indices], owner))
     rank = np.arange(1, indices.size + 1) - indptr[owner]
     hits = deg[indices[order]] >= rank  # true on a prefix of each row, whose length is h
-    return RankedScores("hindex", np.bincount(owner, weights=hits, minlength=g.n))
+    return np.bincount(owner, weights=hits, minlength=g.n)
 
 
-def leaderrank(g: CascadeGraph, tol: float = 1e-10, max_iters: int = 100_000) -> RankedScores:
+def leaderrank(g: CascadeGraph, tol: float = 1e-10, max_iters: int = 100_000) -> np.ndarray:
     """Random-walk score with a bidirectionally-linked ground node.
 
     Power-iterates the walk over the edge list, O(N + E) per iteration,
@@ -92,7 +77,7 @@ def leaderrank(g: CascadeGraph, tol: float = 1e-10, max_iters: int = 100_000) ->
     if not len(g.edges):
         # the walk only alternates ground <-> nodes (period 2, so the
         # iteration never settles); its stationary answer is all ones
-        return RankedScores("leaderrank", np.ones(n))
+        return np.ones(n)
     src, dst = g.edges[:, 0], g.edges[:, 1]
     outdeg = g.out_degrees() + 1.0  # +1 for the edge to ground
     s = np.ones(n + 1)
@@ -108,10 +93,10 @@ def leaderrank(g: CascadeGraph, tol: float = 1e-10, max_iters: int = 100_000) ->
         s = s_new
     else:
         raise NumericError(f"leaderrank failed to converge within {max_iters} iterations")
-    return RankedScores("leaderrank", s[:n] + s[n] / n)
+    return s[:n] + s[n] / n
 
 
-def greedy_dcover(g: CascadeGraph, budget: int, d: int = 1):
+def greedy_dcover(g: CascadeGraph, budget: int, d: int = 1) -> tuple[int, ...]:
     """Greedy d-hop cover: repeatedly take the node covering the most
     currently-uncovered nodes (ties by smaller id); once everything is
     covered, remaining picks go by degree."""
@@ -142,10 +127,10 @@ def greedy_dcover(g: CascadeGraph, budget: int, d: int = 1):
         covered[cover] = True
         uncovered -= gain
     if len(picked) < budget:
-        for v in degree_centrality(g).order():
+        for v in ranked_order(degree_centrality(g)):
             if not chosen[v]:
                 picked.append(int(v))
                 chosen[v] = True
                 if len(picked) == budget:
                     break
-    return SeedSet(tuple(picked))
+    return tuple(picked)

@@ -263,6 +263,15 @@ def _load_manifest(data_dir) -> dict:
             raise DataError(
                 f"{path}: split {split!r} entry {bad[0]!r} is not a plain cascade directory name"
             )
+    # a cascade listed twice would be scored twice, or trained on and tested on
+    where: dict[str, list[str]] = {}
+    for split, names in splits.items():
+        for name in names:
+            where.setdefault(name, []).append(split)
+    for name, in_splits in where.items():
+        if len(in_splits) > 1:
+            listed = ", ".join(map(repr, dict.fromkeys(in_splits)))
+            raise DataError(f"{path}: cascade {name!r} is listed more than once, in split(s) {listed}")
     return manifest
 
 
@@ -378,7 +387,7 @@ def cmd_score(args) -> int:
     g = load_cascade(args.cascade)
     user, struct = featurize_graph(g, walk_cfg, args.seed, 0)
     scores, s_user, s_struct, weights = score_graph(g, params, model_cfg, user, struct)
-    seeds = select_seeds(scores, args.fraction).members
+    seeds = select_seeds(scores, args.fraction)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(scores_csv(scores, s_user, s_struct, weights, seeds))
     if args.dump_features:

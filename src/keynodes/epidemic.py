@@ -27,7 +27,7 @@ REPORT_HEADER = "graph,method,st_mean,st_stderr,r,mu,runs,fraction"
 # (run, node) cells one `sir_run` call of `infection_rate` holds at most
 CELLS = 1 << 21
 
-# method -> the ``baselines`` function whose ranking it takes the top k of;
+# method -> the ``baselines`` function whose scores `select_seeds` ranks;
 # looked up on the module at call time, so a wrapped function is the one called
 _RANKERS = {"degree": "degree_centrality", "kshell": "kshell", "hindex": "h_index",
            "leaderrank": "leaderrank"}
@@ -208,14 +208,14 @@ class EvalReport:
 
 def _select_for_method(method, g, gi, k, fraction, d_cover, cfg, scores):
     if method in scores:
-        return select_seeds(scores[method][gi], fraction).members
+        return select_seeds(scores[method][gi], fraction)
     if method in _RANKERS:
         # LeaderRank's score flows fan -> leader, against an edge (src, dst)
         # that carries influence src -> dst
         view = g.reversed() if method == "leaderrank" else g
-        return tuple(int(v) for v in getattr(baselines, _RANKERS[method])(view).top(k))
+        return select_seeds(getattr(baselines, _RANKERS[method])(view), fraction)
     if method == "greedy":
-        return baselines.greedy_dcover(g, k, d_cover).members
+        return baselines.greedy_dcover(g, k, d_cover)
     if method == "random":
         rng = np.random.default_rng(derived_seed(cfg.rng_seed, gi, 104729))
         return tuple(int(v) for v in rng.permutation(g.n)[:k])
@@ -237,9 +237,9 @@ def compare_methods(
     labelled ``names[gi]`` (default ``graph<gi>``) and draws its SIR runs
     from the ``(cfg.rng_seed, gi)`` stream.  `scores` maps a model-based
     method to one per-node score array per graph, in graph order (DataError
-    on a missing or wrong-size array).  Built-in names are degree, kshell,
-    hindex, leaderrank, greedy, and random.  An empty method list, or one
-    that names a method twice, is a DataError.
+    on a missing, wrong-size or non-finite array).  Built-in names are
+    degree, kshell, hindex, leaderrank, greedy, and random.  An empty method
+    list, or one that names a method twice, is a DataError.
     """
     methods = list(methods)
     if not methods:
@@ -254,13 +254,16 @@ def compare_methods(
         raise DataError(f"method {repeated!r} is named more than once")
     if not (0 < seed_fraction <= 1):
         raise DataError(f"fraction must be in (0, 1], got {seed_fraction}")
+    names = names if names is not None else [f"graph{gi}" for gi in range(len(graphs))]
+    if len(names) != len(graphs):
+        raise DataError(f"{len(names)} names for {len(graphs)} graphs")
     for method, per_graph in scores.items():
         got, want = [np.size(a) for a in per_graph], [g.n for g in graphs]
         if got != want:
             raise DataError(f"method {method!r}: score array sizes {got}, graph sizes {want}")
-    names = names if names is not None else [f"graph{gi}" for gi in range(len(graphs))]
-    if len(names) != len(graphs):
-        raise DataError(f"{len(names)} names for {len(graphs)} graphs")
+        bad = next((gi for gi, a in enumerate(per_graph) if not np.isfinite(a).all()), None)
+        if bad is not None:
+            raise DataError(f"method {method!r}: non-finite score on graph {names[bad]!r}")
 
     rows = []
     for gi, g in enumerate(graphs):

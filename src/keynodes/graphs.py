@@ -36,17 +36,6 @@ _PROFILE_FIELDS = (
 
 
 @dataclass(frozen=True)
-class SeedSet:
-    """An ordered pick of distinct key nodes."""
-
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.members)) != len(self.members):
-            raise DataError("seed members must be distinct")
-
-
-@dataclass(frozen=True)
 class UserRecord:
     """Profile metadata for one node; None means the field is absent."""
 

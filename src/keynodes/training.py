@@ -24,7 +24,7 @@ from .autodiff import ParamStore, Tape, first_nonfinite
 from .baselines import ranked_order
 from .errors import DataError, NumericError
 from .features import WalkConfig, featurize_graph
-from .graphs import CascadeGraph, SeedSet, cover_pairs
+from .graphs import CascadeGraph, cover_pairs
 from .model import (
     ModelConfig,
     bind_params,
@@ -56,14 +56,16 @@ class TrainConfig:
             raise DataError("patience and rng_seed must be >= 0")
 
 
-def select_seeds(scores: np.ndarray, fraction: float) -> SeedSet:
-    """Top ceil(fraction * N) nodes by score, ties broken by smaller id."""
+def select_seeds(scores: np.ndarray, fraction: float) -> tuple[int, ...]:
+    """Top ceil(fraction * N) node ids by score, ties broken by smaller id;
+    a non-finite score is a DataError."""
     if not (0 < fraction <= 1):
         raise DataError(f"fraction must be in (0, 1], got {fraction}")
     scores = np.asarray(scores, dtype=np.float64).ravel()
+    if not np.isfinite(scores).all():
+        raise DataError("non-finite score; seeds cannot be ranked")
     k = math.ceil(fraction * scores.size)
-    order = ranked_order(scores)
-    return SeedSet(tuple(int(v) for v in order[:k]))
+    return tuple(ranked_order(scores)[:k].tolist())
 
 
 def coverage_loss(tape: Tape, scores_id, g: CascadeGraph, lam: float, d: int, pairs=None):

@@ -29,11 +29,11 @@ def clique(k):
 class TestDegree:
     def test_star_center(self):
         g = star_graph(7)
-        assert degree_centrality(g).scores[0] == 7
+        assert degree_centrality(g)[0] == 7
 
     def test_isolated_node(self):
         g = CascadeGraph(3, [(0, 1)])
-        assert degree_centrality(g).scores[2] == 0
+        assert degree_centrality(g)[2] == 0
 
     def test_recount_oracle(self):
         rng = np.random.default_rng(2)
@@ -43,21 +43,21 @@ class TestDegree:
             for a, b in g.edges:
                 counts[a] += 1
                 counts[b] += 1
-            assert np.array_equal(degree_centrality(g).scores, counts)
+            assert np.array_equal(degree_centrality(g), counts)
 
 
 class TestKShell:
     def test_cycle_is_shell_two(self):
-        assert np.array_equal(kshell(cycle_graph(8)).scores, np.full(8, 2.0))
+        assert np.array_equal(kshell(cycle_graph(8)), np.full(8, 2.0))
 
     def test_tree_leaves_shell_one(self):
         g = star_graph(5)
-        scores = kshell(g).scores
+        scores = kshell(g)
         assert np.array_equal(scores, np.ones(6))  # star peels entirely at k=1
 
     def test_isolated_node_shell_zero(self):
         g = CascadeGraph(3, [(0, 1)])
-        assert kshell(g).scores[2] == 0
+        assert kshell(g)[2] == 0
 
     def brute_force_shell(self, und, v):
         """Max k such that v survives in the k-core, by repeated deletion;
@@ -84,7 +84,7 @@ class TestKShell:
         for _ in range(100):
             n = int(rng.integers(5, 61))
             g = random_digraph(rng, n, float(rng.uniform(0.03, 0.12)))
-            scores = kshell(g).scores
+            scores = kshell(g)
             und = csr_rows(g.undirected())
             for v in range(g.n):
                 assert scores[v] == self.brute_force_shell(und, v), (n, v)
@@ -98,7 +98,7 @@ class TestKShell:
             nxg.add_nodes_from(range(n))
             nxg.add_edges_from(map(tuple, g.edges.tolist()))
             core = nx.core_number(nxg)
-            assert np.array_equal(kshell(g).scores, [core[v] for v in range(n)]), n
+            assert np.array_equal(kshell(g), [core[v] for v in range(n)]), n
 
     def test_invariant_under_edge_permutation(self):
         rng = np.random.default_rng(6)
@@ -106,23 +106,23 @@ class TestKShell:
         edges = [tuple(e) for e in g.edges]
         rng.shuffle(edges)
         g2 = CascadeGraph(g.n, edges, source=g.source)
-        assert np.array_equal(kshell(g).scores, kshell(g2).scores)
+        assert np.array_equal(kshell(g), kshell(g2))
 
 
 class TestHIndex:
     def test_star_center_h_one(self):
         g = star_graph(5)
-        assert h_index(g).scores[0] == 1  # all leaves have degree 1
+        assert h_index(g)[0] == 1  # all leaves have degree 1
 
     def test_clique(self):
-        assert np.array_equal(h_index(clique(5)).scores, np.full(5, 4.0))
+        assert np.array_equal(h_index(clique(5)), np.full(5, 4.0))
 
     def test_bounded_by_degree(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             g = random_digraph(rng, 30, 0.1)
             deg = np.array([len(a) for a in csr_rows(g.undirected())])
-            assert (h_index(g).scores <= deg).all()
+            assert (h_index(g) <= deg).all()
 
 
 def dense_leaderrank(g, tol=1e-10, max_iters=100_000):
@@ -148,21 +148,21 @@ def dense_leaderrank(g, tol=1e-10, max_iters=100_000):
 class TestLeaderRank:
     def test_symmetric_two_cycle(self):
         g = CascadeGraph(2, [(0, 1), (1, 0)])
-        scores = leaderrank(g).scores
+        scores = leaderrank(g)
         assert abs(scores[0] - scores[1]) < 1e-12
 
     def test_scores_sum_to_n(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
             g = random_digraph(rng, 40, 0.08)
-            assert abs(leaderrank(g).scores.sum() - g.n) < 1e-8
+            assert abs(leaderrank(g).sum() - g.n) < 1e-8
 
     def test_dense_stationary_oracle(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             n = int(rng.integers(4, 21))
             g = random_digraph(rng, n, float(rng.uniform(0.1, 0.3)))
-            got = leaderrank(g).scores
+            got = leaderrank(g)
 
             # stationary distribution of the (n+1)-state walk via eigenvector
             P = np.zeros((n + 1, n + 1))
@@ -185,7 +185,7 @@ class TestLeaderRank:
         for _ in range(50):
             n = int(rng.integers(4, 61))
             g = random_digraph(rng, n, float(rng.uniform(0.02, 0.3)))
-            got, want = leaderrank(g).scores, dense_leaderrank(g)
+            got, want = leaderrank(g), dense_leaderrank(g)
             assert np.abs(got - want).max() <= 1e-12 * n, n
             assert np.array_equal(ranked_order(got), ranked_order(want)), n
 
@@ -202,7 +202,7 @@ class TestLeaderRank:
     def test_edgeless_graph_is_all_ones(self):
         g = CascadeGraph(3, [])
         n = g.n
-        assert np.array_equal(leaderrank(g).scores, np.ones(n))
+        assert np.array_equal(leaderrank(g), np.ones(n))
         # the eigenvector oracle of test_dense_stationary_oracle agrees
         P = np.zeros((n + 1, n + 1))
         P[:n, n] = 1.0
@@ -241,7 +241,7 @@ def full_scan_greedy(g, budget, d):
         chosen[best_v] = True
         covered[covers[best_v]] = True
     if len(picked) < budget:
-        for v in degree_centrality(g).order():
+        for v in ranked_order(degree_centrality(g)):
             if not chosen[v]:
                 picked.append(int(v))
                 chosen[v] = True
@@ -253,12 +253,12 @@ def full_scan_greedy(g, budget, d):
 class TestGreedy:
     def test_star_picks_center(self):
         g = star_graph(6)
-        assert greedy_dcover(g, 1, 1).members == (0,)
+        assert greedy_dcover(g, 1, 1) == (0,)
 
     def test_two_disjoint_stars(self):
         edges = [(0, i) for i in range(2, 6)] + [(1, i) for i in range(6, 9)]
         g = CascadeGraph(9, edges)
-        assert set(greedy_dcover(g, 2, 1).members) == {0, 1}
+        assert set(greedy_dcover(g, 2, 1)) == {0, 1}
 
     def test_budget_validated(self):
         with pytest.raises(DataError):
@@ -270,7 +270,7 @@ class TestGreedy:
             n = int(rng.integers(6, 16))
             g = random_digraph(rng, n, 0.15)
             covers = {u: reachable_within(g, u, 1) for u in range(n)}
-            got = greedy_dcover(g, 2, 1).members
+            got = greedy_dcover(g, 2, 1)
             got_cover = len(set().union(*(covers[u] for u in got)))
             best = max(
                 len(covers[a] | covers[b]) for a, b in itertools.combinations(range(n), 2)
@@ -281,7 +281,7 @@ class TestGreedy:
         edges = [(0, i) for i in range(2, 7)] + [(1, i) for i in range(7, 11)]
         g = CascadeGraph(11, edges)
         covers = {u: reachable_within(g, u, 1) for u in range(g.n)}
-        got = greedy_dcover(g, 2, 1).members
+        got = greedy_dcover(g, 2, 1)
         got_cover = len(set().union(*(covers[u] for u in got)))
         best = max(
             len(covers[a] | covers[b]) for a, b in itertools.combinations(range(g.n), 2)
@@ -294,7 +294,7 @@ class TestGreedy:
         covers = {u: reachable_within(g, u, 1) for u in range(g.n)}
         prev = -1
         for budget in range(1, 8):
-            seeds = greedy_dcover(g, budget, 1).members
+            seeds = greedy_dcover(g, budget, 1)
             cov = len(set().union(*(covers[u] for u in seeds)))
             assert cov >= prev
             prev = cov
@@ -306,7 +306,7 @@ class TestGreedy:
             g = random_digraph(rng, n, float(rng.uniform(0.02, 0.25)))
             d = 1 + trial % 2
             for budget in (1, 2, max(1, n // 4), n // 2 + 1, n):
-                assert greedy_dcover(g, budget, d).members == full_scan_greedy(g, budget, d), (
+                assert greedy_dcover(g, budget, d) == full_scan_greedy(g, budget, d), (
                     trial,
                     budget,
                 )
@@ -318,13 +318,13 @@ class TestGreedy:
         edges = [(c, next(leaves)) for c in centres for _ in range(3)]
         g = CascadeGraph(16, edges)
         for budget in range(1, 7):
-            got = greedy_dcover(g, budget, 1).members
+            got = greedy_dcover(g, budget, 1)
             assert got == full_scan_greedy(g, budget, 1), budget
             assert got[:4] == (0, 2, 6, 9)[:budget], budget
 
     def test_pads_with_degree_once_covered(self):
         g = star_graph(4)  # center covers everything at d=1
-        seeds = greedy_dcover(g, 3, 1).members
+        seeds = greedy_dcover(g, 3, 1)
         assert seeds[0] == 0 and len(seeds) == 3
 
 
@@ -335,6 +335,6 @@ class TestLabelEquivariance:
         perm = rng.permutation(g.n)
         g2 = CascadeGraph(g.n, [(perm[a], perm[b]) for a, b in g.edges], source=int(perm[g.source]))
         for method in (degree_centrality, kshell, h_index, leaderrank):
-            s1 = method(g).scores
-            s2 = method(g2).scores
+            s1 = method(g)
+            s2 = method(g2)
             assert np.abs(s2[perm] - s1).max() < 1e-9, method.__name__

@@ -389,7 +389,7 @@ class TestScore:
         weights = ParamStore({k: v for k, v in store.items() if k != "meta"})
         scores, s_user, s_struct, w = score_graph(g, weights, ModelConfig(), user, struct)
         assert (s_user is None) == ("no-user" in ablate)
-        seeds = set(training.select_seeds(scores, 0.05).members)
+        seeds = set(training.select_seeds(scores, 0.05))
         w_user, w_stru = (0.0, 1.0) if w is None else (float(w[0]), float(w[1]))
         want = "node,score,s_user,s_struct,w_user,w_stru,is_seed\n"
         for v in range(g.n):
@@ -808,6 +808,25 @@ class TestHostileInputs:
         (data / "manifest.json").write_text(json.dumps({"graphs": [], "splits": {"test": [entry]}}))
         rc, err = self.compare(data, tmp_path, capsys)
         assert rc == 2 and "manifest.json" in err and repr(entry) in err
+
+    @pytest.mark.parametrize("where", ["test twice", "train and test"])
+    def test_cascade_listed_twice_exit_2(self, data, tmp_path, capsys, where):
+        """Each cascade appears once across all splits: a repeat would write two
+        report rows for it, and a train/test overlap would train on test data."""
+        manifest = json.loads((data / "manifest.json").read_text())
+        splits = manifest["splits"]
+        name = splits["test"][0]
+        if where == "test twice":
+            splits["test"].append(name)
+            want = "'test'"
+        else:
+            splits["train"].append(name)
+            want = "'test', 'train'"  # the manifest's split order
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        rc, err = self.compare(data, tmp_path, capsys)
+        assert rc == 2 and str(data / "manifest.json") in err
+        assert f"cascade {name!r} is listed more than once, in split(s) {want}" in err
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestExitCodes:

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import csr_rows, path_graph, star_graph
 
 from keynodes import epidemic
+from keynodes.baselines import degree_centrality
 from keynodes.epidemic import (
     REPORT_HEADER,
     SirConfig,
@@ -323,6 +325,25 @@ class TestCompareMethods:
         scores["mmen"][1] = scores["mmen"][1][:-1]
         with pytest.raises(DataError, match=r"sizes \[50, 49\], graph sizes \[50, 50\]"):
             compare_methods(graphs, ["mmen"], SirConfig(mu=0.3, runs=2), 0.1, scores=scores)
+
+    def test_non_finite_score_rejected(self):
+        graphs = [synth_cascade(50, 0.1, 0.0, s) for s in range(2)]
+        scores = {"m": [g.out_degrees().astype(float) for g in graphs]}
+        scores["m"][1] = np.full(50, np.nan)
+        scores["m"][1][3] = 1.0
+        with pytest.raises(DataError, match=r"method 'm': non-finite score on graph 'b'"):
+            compare_methods(graphs, ["degree", "m"], SirConfig(mu=0.3, runs=2), 0.1, scores=scores,
+                            names=["a", "b"])
+
+    def test_score_methods_share_one_top_k_rule(self):
+        # a score list equal to a ranker's output picks the ranker's seeds
+        graphs = [synth_cascade(60, 0.2, 0.0, s) for s in range(3)]
+        scores = {"deg": [degree_centrality(g) for g in graphs]}
+        report = compare_methods(graphs, ["degree", "deg"], SirConfig(mu=0.2, runs=5, rng_seed=3),
+                                 0.1, scores=scores)
+        builtin, given = report.rows[0::2], report.rows[1::2]
+        assert [r.method for r in given] == ["deg"] * len(graphs)
+        assert [replace(r, method="degree") for r in given] == builtin
 
     @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]])
     def test_names_length_checked(self, names):

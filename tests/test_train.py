@@ -172,21 +172,21 @@ class TestAdam:
 class TestSelectSeeds:
     def test_top_five_percent(self):
         scores = np.random.default_rng(0).uniform(size=100)
-        assert len(select_seeds(scores, 0.05).members) == 5
+        assert len(select_seeds(scores, 0.05)) == 5
 
     def test_ceil_rule(self):
-        assert len(select_seeds(np.arange(7.0), 0.05).members) == 1
-        assert len(select_seeds(np.arange(21.0), 0.05).members) == 2
+        assert len(select_seeds(np.arange(7.0), 0.05)) == 1
+        assert len(select_seeds(np.arange(21.0), 0.05)) == 2
 
     def test_ties_break_by_id(self):
-        seeds = select_seeds(np.ones(10), 0.3).members
+        seeds = select_seeds(np.ones(10), 0.3)
         assert seeds == (0, 1, 2)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(1)
         scores = rng.normal(size=50)
-        a = select_seeds(scores, 0.2).members
-        b = select_seeds(3.7 * scores + 11.0, 0.2).members
+        a = select_seeds(scores, 0.2)
+        b = select_seeds(3.7 * scores + 11.0, 0.2)
         assert a == b
 
     def test_fraction_validated(self):
@@ -194,6 +194,13 @@ class TestSelectSeeds:
             select_seeds(np.ones(5), 0.0)
         with pytest.raises(DataError):
             select_seeds(np.ones(5), 1.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        scores = np.full(5, bad)
+        scores[3] = 1.0
+        with pytest.raises(DataError, match="non-finite score"):
+            select_seeds(scores, 1.0)
 
 
 def tiny_dataset(n_graphs, seed=0, n_nodes=25):
