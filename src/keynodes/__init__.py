@@ -31,7 +31,7 @@ BLAS_ONE_THREAD = _blas_one_thread()
 # before numpy loads; a value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .autodiff import ParamStore, Tape, grad_check, load_checkpoint, save_checkpoint
+from .autodiff import Tape, load_checkpoint, save_checkpoint
 from .baselines import degree_centrality, greedy_dcover, h_index, kshell, leaderrank
 from .epidemic import (
     EvalReport,
@@ -49,9 +49,7 @@ from .graphs import (
     UserRecord,
     largest_component_size,
     load_cascade,
-    out_neighborhood,
     save_cascade,
-    shortest_path_len,
     synth_cascade,
 )
 from .model import ModelConfig, init_params, mmen_forward

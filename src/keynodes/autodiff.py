@@ -17,7 +17,6 @@ clamp_min'(at the bound) = 1.
 from __future__ import annotations
 
 import math
-import operator
 import struct
 from pathlib import Path
 
@@ -123,16 +122,6 @@ class Handle:
 
     def __index__(self):
         return self.id
-
-    def __eq__(self, other):
-        """Equal to its node id, so a handle and an int id find the same dict key."""
-        try:
-            return self.id == operator.index(other)
-        except TypeError:
-            return NotImplemented
-
-    def __hash__(self):
-        return hash(self.id)
 
 
 class Tape:
@@ -472,124 +461,6 @@ _BACKWARD = {
 }
 
 
-# -- parameters ---------------------------------------------------------------
-
-
-class ParamStore:
-    """Named float64 tensors with a flat view for the optimizer and checks."""
-
-    def __init__(self, tensors: dict[str, np.ndarray] | None = None):
-        self._t: dict[str, np.ndarray] = {}
-        if tensors:
-            for name, val in tensors.items():
-                self[name] = val
-
-    def __setitem__(self, name: str, value):
-        if not name:
-            raise DataError("tensor name must be non-empty")
-        self._t[name] = np.asarray(value, dtype=np.float64)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        if name not in self._t:
-            raise DataError(f"missing tensor {name!r}")
-        return self._t[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._t
-
-    def __len__(self) -> int:
-        return len(self._t)
-
-    def names(self) -> list[str]:
-        return list(self._t)
-
-    def items(self):
-        return self._t.items()
-
-    def copy(self) -> "ParamStore":
-        return ParamStore({k: v.copy() for k, v in self._t.items()})
-
-    def zeros_like(self) -> "ParamStore":
-        return ParamStore({k: np.zeros_like(v) for k, v in self._t.items()})
-
-    def numel(self) -> int:
-        return sum(v.size for v in self._t.values())
-
-    def flat(self) -> np.ndarray:
-        if not self._t:
-            return np.zeros(0)
-        return np.concatenate([v.ravel() for v in self._t.values()])
-
-    def set_flat(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.size != self.numel():
-            raise ShapeError(f"flat vector length {vec.size} != numel {self.numel()}")
-        pos = 0
-        for name, v in self._t.items():
-            self._t[name] = vec[pos : pos + v.size].reshape(v.shape).copy()
-            pos += v.size
-
-
-def grad_check(
-    f,
-    params: ParamStore,
-    eps: float = 1e-6,
-    subsample_above: int = 10_000,
-    subsample_frac: float = 0.05,
-    rng_seed: int = 0,
-    exclude: np.ndarray | None = None,
-    atol: float = 1e-9,
-) -> float:
-    """Max relative error between f's analytic gradient and central differences.
-
-    `f(params)` returns the scalar loss; `f(params, want_grad=True)` returns
-    ``(loss, grads)`` with grads mapping every parameter name to its gradient
-    array.  All components are swept when the store has at most
-    `subsample_above` entries, otherwise a seeded random 5% subsample.
-    `exclude` is an optional boolean mask over the flat view for components
-    the caller knows sit on an activation kink.  Relative error uses
-    denominator max(|a|, |b|, 1e-12); absolute differences within `atol`
-    count as exact, since central differences carry roundoff noise of order
-    eta*|loss|/eps that would otherwise swamp parameters whose true gradient
-    is structurally zero.
-    """
-    if not (1e-7 <= eps <= 1e-3):
-        raise DataError(f"eps must be in [1e-7, 1e-3], got {eps}")
-    _, grads = f(params, want_grad=True)
-    analytic = np.concatenate(
-        [np.asarray(grads[name], dtype=np.float64).ravel() for name in params.names()]
-    )
-    base = params.flat()
-    total = base.size
-    if total <= subsample_above:
-        indices = np.arange(total)
-    else:
-        rng = np.random.default_rng(rng_seed)
-        k = max(1, int(round(subsample_frac * total)))
-        indices = rng.choice(total, size=k, replace=False)
-    if exclude is not None:
-        indices = indices[~np.asarray(exclude).ravel()[indices]]
-
-    probe = params.copy()
-    vec = base.copy()
-    worst = 0.0
-    for idx in indices:
-        vec[idx] = base[idx] + eps
-        probe.set_flat(vec)
-        hi = float(f(probe))
-        vec[idx] = base[idx] - eps
-        probe.set_flat(vec)
-        lo = float(f(probe))
-        vec[idx] = base[idx]
-        fd = (hi - lo) / (2.0 * eps)
-        an = analytic[idx]
-        if abs(fd - an) <= atol:
-            continue
-        rel = abs(fd - an) / max(abs(fd), abs(an), 1e-12)
-        worst = max(worst, rel)
-    return worst
-
-
 # -- checkpoint format ---------------------------------------------------------
 
 
@@ -609,7 +480,8 @@ def save_checkpoint(params, path) -> None:
             fh.write(arr.tobytes())
 
 
-def load_checkpoint(path) -> ParamStore:
+def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """The tensors of a ``save_checkpoint`` file, by name in file order."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{path}: checkpoint not found")
@@ -626,18 +498,18 @@ def load_checkpoint(path) -> ParamStore:
         pos += nbytes
         return chunk
 
-    store = ParamStore()
+    tensors = {}
     while pos < len(blob):
         (name_len,) = struct.unpack("<Q", take(8, "name length"))
         try:
             name = take(name_len, "name").decode("utf-8")
         except UnicodeDecodeError:
             raise DataError(f"{path}: tensor name is not UTF-8") from None
-        if name in store:
+        if name in tensors:
             raise DataError(f"{path}: duplicate tensor {name!r}")
         (rank,) = struct.unpack("<Q", take(8, "rank"))
         dims = struct.unpack(f"<{rank}Q", take(8 * rank, "dims"))
         count = math.prod(dims)  # Python ints: huge dims cannot wrap to a small count
         data = np.frombuffer(take(8 * count, f"tensor {name!r}"), dtype="<f8")
-        store[name] = data.reshape(dims).astype(np.float64)
-    return store
+        tensors[name] = data.reshape(dims).astype(np.float64)
+    return tensors

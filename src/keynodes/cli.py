@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ParamStore, load_checkpoint, save_checkpoint
+from .autodiff import load_checkpoint, save_checkpoint
 from .epidemic import SirConfig, compare_methods
 from .errors import DataError, NumericError
 from .features import WalkConfig, dump_features_csv, featurize_graph
@@ -272,6 +272,13 @@ def _load_manifest(data_dir) -> dict:
         if len(in_splits) > 1:
             listed = ", ".join(map(repr, dict.fromkeys(in_splits)))
             raise DataError(f"{path}: cascade {name!r} is listed more than once, in split(s) {listed}")
+    graphs = manifest["graphs"]
+    if not (isinstance(graphs, list) and all(isinstance(name, str) for name in graphs)):
+        raise DataError(f"{path}: 'graphs' must be a list of cascade names")
+    if set(graphs) != set(where):
+        odd = min(set(graphs) ^ set(where))
+        side = "'graphs' but in no split" if odd in graphs else "a split but not in 'graphs'"
+        raise DataError(f"{path}: cascade {odd!r} is listed in {side}")
     return manifest
 
 
@@ -325,7 +332,7 @@ def _load_model(path):
     model_cfg = ModelConfig(hidden=hidden, heads=heads, mem_groups=groups, mem_slots=slots)
     walk_cfg = WalkConfig(walks_per_node=walks, walk_len=walk_len)
     ablate = frozenset(a for i, a in enumerate(ABLATIONS) if bits & (1 << i))
-    weights = ParamStore({k: v for k, v in params.items() if k != "meta"})
+    weights = {k: v for k, v in params.items() if k != "meta"}
     validate_params(weights, model_cfg, ablate)
     bad = next((k for k, v in weights.items() if not np.isfinite(v).all()), None)
     if bad is not None:
@@ -375,9 +382,8 @@ def cmd_train(args) -> int:
 
         result = train(train_graphs, val_graphs, cfg, model_cfg=model_cfg, walk_cfg=walk_cfg,
                        ablate=ablate, on_epoch=log_epoch)
-    ckpt = result.params.copy()
-    ckpt["meta"] = _pack_meta(model_cfg, walk_cfg, ablate)
-    save_checkpoint(ckpt, out / "best.ckpt")
+    meta = _pack_meta(model_cfg, walk_cfg, ablate)
+    save_checkpoint({**result.params, "meta": meta}, out / "best.ckpt")
     print(f"best epoch {result.best_epoch}; final val loss {result.best_val_loss!r}")
     return 0
 
@@ -431,7 +437,7 @@ def cmd_compare(args) -> int:
         # no-user and no-fusion forwards are the full one's s_struct and its
         # 0.5/0.5 view mix, so only no-memory needs a forward of its own.
         keep = param_shapes(model_cfg, {"no-memory"})
-        no_memory = ParamStore({k: v for k, v in params.items() if k in keep})
+        no_memory = {k: v for k, v in params.items() if k in keep}
         scores = {name: [] for name in ["mmen"] + [f"mmen-{a}" for a in ablations]}
         for gi, g in enumerate(graphs):
             views = featurize_graph(g, walk_cfg, args.seed, gi)

@@ -181,25 +181,6 @@ def bfs_distances(g: CascadeGraph, start: int) -> np.ndarray:
     return out
 
 
-def shortest_path_len(g: CascadeGraph, a: int, b: int) -> int | None:
-    """Directed BFS distance a -> b, or None when b is unreachable from a."""
-    _check_node(g, a)
-    _check_node(g, b)
-    if a == b:
-        return 0
-    dist = _bfs(g.csr, a)
-    return dist.get(b)
-
-
-def out_neighborhood(g: CascadeGraph, v: int, d: int) -> set[int]:
-    """Nodes whose selection covers v: every u with a directed path
-    u -> v of length <= d, plus v itself."""
-    _check_node(g, v)
-    if d < 1:
-        raise DataError(f"hop radius must be >= 1, got {d}")
-    return set(_bfs(g.reversed().csr, v, max_depth=d))
-
-
 def reachable_within(g: CascadeGraph, u: int, d: int) -> set[int]:
     """Nodes u covers: everything within d directed hops downstream, incl u."""
     _check_node(g, u)

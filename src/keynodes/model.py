@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamStore, Tape
+from .autodiff import Handle, Tape
 from .errors import DataError, ShapeError
 from .features import STRUCT_DIM, USER_DIM
 from .graphs import CascadeGraph
@@ -88,11 +88,11 @@ def param_shapes(cfg: ModelConfig, ablate=frozenset()) -> dict[str, tuple]:
     return table
 
 
-def init_params(cfg: ModelConfig, rng_seed: int = 0, ablate=frozenset()) -> ParamStore:
+def init_params(cfg: ModelConfig, rng_seed: int = 0, ablate=frozenset()) -> dict[str, np.ndarray]:
     """Fresh parameters: each tensor of ``param_shapes`` drawn in one call,
     in table order and in the shape it is stored."""
     rng = np.random.default_rng(rng_seed)
-    p = ParamStore()
+    p = {}
     for name, (shape, fan_in) in param_shapes(cfg, ablate).items():
         if fan_in is None:
             p[name] = rng.normal(0.0, 0.1, size=shape)
@@ -102,7 +102,7 @@ def init_params(cfg: ModelConfig, rng_seed: int = 0, ablate=frozenset()) -> Para
     return p
 
 
-def validate_params(params: ParamStore, cfg: ModelConfig, ablate=frozenset()) -> None:
+def validate_params(params: dict[str, np.ndarray], cfg: ModelConfig, ablate=frozenset()) -> None:
     """Check every tensor of ``param_shapes`` exists with the right shape and
     no other tensor (bar ``meta``) does.  Draws and allocates nothing."""
     expected = param_shapes(cfg, ablate)
@@ -112,17 +112,17 @@ def validate_params(params: ParamStore, cfg: ModelConfig, ablate=frozenset()) ->
         got = params[name].shape
         if tuple(got) != tuple(shape):
             raise ShapeError(f"tensor {name!r} has shape {got}, expected {shape}")
-    extra = set(params.names()) - set(expected) - {"meta"}
+    extra = set(params) - set(expected) - {"meta"}
     if extra:
         raise ShapeError(f"unexpected tensors in checkpoint: {sorted(extra)}")
 
 
-def bind_params(tape: Tape, params: ParamStore) -> dict:
+def bind_params(tape: Tape, params: dict[str, np.ndarray]) -> dict:
     """Place every parameter on the tape as a leaf; returns name -> handle."""
     return {name: tape.leaf(val, name=name) for name, val in params.items()}
 
 
-def collect_grads(tape: Tape, binding: dict[str, int]) -> dict[str, np.ndarray]:
+def collect_grads(tape: Tape, binding: dict[str, Handle]) -> dict[str, np.ndarray]:
     out = {}
     for name, nid in binding.items():
         g = tape.nodes[nid].grad
@@ -296,10 +296,10 @@ def fuse_scores(tape, s1, s2, w):
 class ForwardResult:
     """Tape handles of the forward pass outputs (arrays on a no-grad tape)."""
 
-    score: int
-    score_user: int | None
-    score_struct: int
-    weights: int | None  # (1, 2) fusion weights; None when the user view is off
+    score: Handle | np.ndarray
+    score_user: Handle | np.ndarray | None
+    score_struct: Handle | np.ndarray
+    weights: Handle | np.ndarray | None  # (1, 2) fusion weights; None when the user view is off
 
 
 def mmen_forward(
@@ -307,15 +307,15 @@ def mmen_forward(
     g: CascadeGraph,
     user_feats: np.ndarray,
     struct_feats: np.ndarray,
-    params: ParamStore,
+    params: dict[str, np.ndarray],
     cfg: ModelConfig,
-    binding: dict[str, int] | None = None,
+    binding: dict[str, Handle | np.ndarray] | None = None,
 ) -> ForwardResult:
     """Full forward pass on one graph; returns tape handles of all outputs.
 
-    The store is the architecture: the user view runs iff ``user.proj.W``
+    The parameters are the architecture: the user view runs iff ``user.proj.W``
     is present, memory iff ``struct.mem0.slots`` is, and the learned fusion
-    iff ``fusion.W`` is (else fixed 0.5/0.5 weights).  A store holding
+    iff ``fusion.W`` is (else fixed 0.5/0.5 weights).  A dict holding
     ``param_shapes(cfg, A)`` (see ``validate_params``) runs ablation set A.
     """
     if binding is None:

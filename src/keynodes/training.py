@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import BLAS_ONE_THREAD
-from .autodiff import ParamStore, Tape, first_nonfinite
+from .autodiff import Tape, first_nonfinite
 from .baselines import ranked_order
 from .errors import DataError, NumericError
 from .features import WalkConfig, featurize_graph
@@ -97,24 +97,30 @@ def coverage_loss(tape: Tape, scores_id, g: CascadeGraph, lam: float, d: int, pa
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
+def _copy(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A float64 copy of every tensor, so later updates touch neither dict."""
+    return {k: np.array(v, dtype=np.float64) for k, v in params.items()}
+
+
 @dataclass
 class AdamState:
-    m: ParamStore
-    v: ParamStore
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: ParamStore) -> "AdamState":
-        return cls(m=params.zeros_like(), v=params.zeros_like())
+    def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
+        return cls(m={k: np.zeros_like(v) for k, v in params.items()},
+                   v={k: np.zeros_like(v) for k, v in params.items()})
 
 
-def adam_step(params: ParamStore, grads: dict, state: AdamState, lr: float) -> ParamStore:
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> dict:
     """Standard bias-corrected Adam update, in place."""
     state.t += 1
     b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    for name in params.names():
+    for name in params:
         g = grads[name]
         state.m[name] = b1 * state.m[name] + (1 - b1) * g
         state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
@@ -292,7 +298,7 @@ class _Workers:
 
 @dataclass
 class TrainResult:
-    params: ParamStore
+    params: dict[str, np.ndarray]
     history: list[dict] = field(default_factory=list)
     best_epoch: int = 0
     best_val_loss: float = math.inf
@@ -305,7 +311,7 @@ def train(
     model_cfg: ModelConfig | None = None,
     walk_cfg: WalkConfig | None = None,
     ablate=frozenset(),
-    init: ParamStore | None = None,
+    init: dict[str, np.ndarray] | None = None,
     on_epoch=None,
 ) -> TrainResult:
     """Batch training with early stopping on mean validation loss.
@@ -313,7 +319,7 @@ def train(
     Deterministic for a fixed cfg.rng_seed: parameter init, walk features,
     and the per-epoch shuffle all derive from it.  Returns the parameters of
     the best validation epoch.  ``ablate`` picks the tensors ``init_params``
-    creates; an ``init`` store must hold exactly those (ShapeError if not).
+    creates; an ``init`` dict must hold exactly those (ShapeError if not).
     ``on_epoch(row, seconds, grad_norm, w_user)``, if given, sees each history
     row as its epoch ends, with the epoch's wall time, the mean L2 norm of its
     batch gradients (each the sum over the batch's graphs, all tensors flat)
@@ -330,14 +336,14 @@ def train(
     walk_cfg = walk_cfg or WalkConfig()
     if init is not None:
         validate_params(init, model_cfg, ablate)
-    params = init.copy() if init is not None else init_params(model_cfg, cfg.rng_seed, ablate)
+    params = _copy(init) if init is not None else init_params(model_cfg, cfg.rng_seed, ablate)
 
     train_b = prepare_graphs(train_graphs, cfg, walk_cfg)
     val_b = prepare_graphs(val_graphs, cfg, walk_cfg, index_offset=len(train_b))
     adam = AdamState.for_params(params)
     shuffle_rng = np.random.default_rng([cfg.rng_seed, 1])
 
-    result = TrainResult(params.copy())
+    result = TrainResult(_copy(params))
     bad_epochs = 0
     processes = _processes(min(cfg.batch_size, len(train_b)))
     with _Workers(processes, {"train": train_b, "val": val_b}, model_cfg, cfg) as workers:
@@ -377,7 +383,7 @@ def train(
             if val_loss < result.best_val_loss:
                 result.best_val_loss = val_loss
                 result.best_epoch = epoch
-                result.params = params.copy()
+                result.params = _copy(params)
                 bad_epochs = 0
             else:
                 bad_epochs += 1
@@ -388,17 +394,17 @@ def train(
 
 def score_graph(
     g: CascadeGraph,
-    params: ParamStore,
+    params: dict[str, np.ndarray],
     model_cfg: ModelConfig,
     user: np.ndarray,
     struct: np.ndarray,
 ):
     """Forward-only scores for one graph from the ``.values`` of its two
-    ``featurize_graph`` views, so several parameter stores (a checkpoint and
+    ``featurize_graph`` views, so several parameter dicts (a checkpoint and
     its ablated subsets) can share one featurization.
 
     Returns (scores, s_user, s_struct, weights) as plain arrays; s_user and
-    weights are None when the store has no user view.
+    weights are None when the parameters have no user view.
     """
     run = partial(mmen_forward, g=g, user_feats=user, struct_feats=struct, params=params,
                   cfg=model_cfg)

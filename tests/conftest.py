@@ -57,7 +57,7 @@ HOSTILE_CASES = ("dims_overflow", "dims_past_end", "duplicate_name", "non_utf8_n
 
 def hostile_checkpoint(case, valid: bytes, params) -> bytes:
     """A valid checkpoint's bytes (holding `params`) plus one bad record."""
-    name = params.names()[0]
+    name = next(iter(params))
     tails = {
         "duplicate_name": tensor_record(name.encode(), params[name].shape, params[name]),
         "non_utf8_name": tensor_record(b"\xffw", (1, 1), [1.0]),

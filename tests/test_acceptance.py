@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import csr_rows
+from gradcheck import grad_check, numel
 
-from keynodes.autodiff import Tape, grad_check
+from keynodes.autodiff import Tape
 from keynodes.baselines import greedy_dcover, kshell, leaderrank, ranked_order
 from keynodes.cli import main
 from keynodes.epidemic import SirConfig, infection_rate
@@ -74,7 +75,7 @@ def test_c1_gradient_correctness():
         1,
         "full-model gradient vs central differences",
         err < 1e-4 and elapsed < 30.0,
-        f"max rel err {err:.3e} ({params.numel()} params swept in {elapsed:.1f}s)",
+        f"max rel err {err:.3e} ({numel(params)} params swept in {elapsed:.1f}s)",
     )
 
 

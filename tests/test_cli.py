@@ -13,12 +13,12 @@ from conftest import HOSTILE_CASES, hostile_checkpoint, loop_synth_cascade
 
 import keynodes
 from keynodes import cli, training
-from keynodes.autodiff import ParamStore, load_checkpoint, save_checkpoint
+from keynodes.autodiff import load_checkpoint, save_checkpoint
 from keynodes.cli import main
 from keynodes.epidemic import REPORT_HEADER, compare_methods
 from keynodes.features import STRUCT_DIM, USER_DIM, WalkConfig, featurize_graph
 from keynodes.graphs import save_cascade, synth_cascade
-from keynodes.model import ABLATIONS, ModelConfig, init_params, param_shapes
+from keynodes.model import ABLATIONS, ModelConfig, init_params, param_shapes, validate_params
 from keynodes.seeding import derived_seed
 from keynodes.training import score_graph
 
@@ -45,7 +45,7 @@ def save_old_format(params, path, version, heads=4, groups=4):
     (1, 1) ``conv_b`` per memory bank.  Format 2 stores the tensors fused
     with a 9-entry meta row; format 1 keeps one tensor per attention head
     and memory group, and an 11-entry meta row."""
-    old = ParamStore()
+    old = {}
     for name, val in params.items():
         base, _, part = name.rpartition(".")
         if version == 1 and ".gat" in base:
@@ -159,7 +159,7 @@ class TestTrain:
         )
         assert rc == 0
         params = load_checkpoint(tmp_path / "best.ckpt")
-        assert not any(".mem" in name for name in params.names())
+        assert not any(".mem" in name for name in params)
 
     def test_missing_dataset_exit_2(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path)]) == 2
@@ -374,7 +374,7 @@ class TestScore:
         """scores.csv, written in one block, has the bytes of one f-string per node."""
         params = load_checkpoint(trained / "best.ckpt")
         keep = param_shapes(ModelConfig(), ablate) | {"meta": None}
-        store = ParamStore({k: v for k, v in params.items() if k in keep})
+        store = {k: v for k, v in params.items() if k in keep}
         meta = store["meta"].copy()
         meta[0, -1] = sum(1 << i for i, a in enumerate(ABLATIONS) if a in ablate)
         store["meta"] = meta
@@ -386,7 +386,7 @@ class TestScore:
 
         g = cli.load_cascade(dataset / "g002")
         user, struct = featurize_graph(g, WalkConfig(), 5, 0)
-        weights = ParamStore({k: v for k, v in store.items() if k != "meta"})
+        weights = {k: v for k, v in store.items() if k != "meta"}
         scores, s_user, s_struct, w = score_graph(g, weights, ModelConfig(), user, struct)
         assert (s_user is None) == ("no-user" in ablate)
         seeds = set(training.select_seeds(scores, 0.05))
@@ -546,6 +546,24 @@ class TestScore:
         assert rc == 2
         assert "tensor 'struct.proj.W' holds a non-finite value" in capsys.readouterr().err
 
+    def test_trained_checkpoint_validates_with_meta(self, trained):
+        """The shape check of train's checkpoint as the benchmark makes it:
+        the whole file, meta tensor included, against the default config."""
+        params = load_checkpoint(trained / "best.ckpt")
+        assert list(params)[-1] == "meta"
+        validate_params(params, ModelConfig())
+
+    @pytest.mark.parametrize("name", ["rogue", ""])
+    def test_extra_tensor_exit_2(self, dataset, trained, tmp_path, capsys, name):
+        params = load_checkpoint(trained / "best.ckpt")
+        params[name] = np.ones((1, 1))
+        bad = tmp_path / "extra.ckpt"
+        save_checkpoint(params, bad)
+        rc = main(["score", "--checkpoint", str(bad), "--cascade", str(dataset / "g000"),
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert f"unexpected tensors in checkpoint: [{name!r}]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("verb", ["score", "compare"])
     @pytest.mark.parametrize("name,value", [("struct.score.b", np.inf), ("struct.gat0.W", np.nan)])
     def test_nonfinite_tensor_rejected_before_scoring(
@@ -657,7 +675,7 @@ class TestCompare:
             assert np.array_equal(seen["mmen"][0], full)
             for a in ABLATIONS:
                 keep = param_shapes(model_cfg, base | {a})
-                reduced = ParamStore({k: v for k, v in params.items() if k in keep})
+                reduced = {k: v for k, v in params.items() if k in keep}
                 want = score_graph(g, reduced, model_cfg, user, struct)[0]
                 assert np.array_equal(seen[f"mmen-{a}"][0], want), (sorted(base), a)
 
@@ -827,6 +845,32 @@ class TestHostileInputs:
         assert rc == 2 and str(data / "manifest.json") in err
         assert f"cascade {name!r} is listed more than once, in split(s) {want}" in err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("case", ["not a list", "not names", "one missing", "one extra"])
+    def test_graphs_not_the_split_cascades_exit_2(self, data, tmp_path, capsys, case):
+        """'graphs' lists exactly the cascades of the splits, in any order."""
+        manifest = json.loads((data / "manifest.json").read_text())
+        names = manifest["graphs"]
+        manifest["graphs"] = {
+            "not a list": 5,
+            "not names": names + [7],
+            "one missing": names[1:],
+            "one extra": names + ["g999"],
+        }[case]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        rc, err = self.compare(data, tmp_path, capsys)
+        assert rc == 2 and str(data / "manifest.json") in err and "'graphs'" in err
+        if case == "one missing":
+            assert f"cascade {names[0]!r} is listed in a split but not in 'graphs'" in err
+        if case == "one extra":
+            assert "cascade 'g999' is listed in 'graphs' but in no split" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_graphs_in_any_order_runs(self, data, tmp_path, capsys):
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["graphs"].reverse()
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        assert self.compare(data, tmp_path, capsys)[0] == 0
 
 
 class TestExitCodes:

@@ -16,10 +16,8 @@ from keynodes.graphs import (
     cover_pairs,
     largest_component_size,
     load_cascade,
-    out_neighborhood,
     reachable_within,
     save_cascade,
-    shortest_path_len,
     synth_cascade,
 )
 
@@ -156,73 +154,85 @@ class TestLoad:
         assert edge_sets(g) == edge_sets(g2)
 
 
+def nx_digraph(g):
+    import networkx as nx
+
+    nxg = nx.DiGraph(list(map(tuple, g.edges)))
+    nxg.add_nodes_from(range(g.n))
+    return nxg
+
+
 class TestQueries:
-    def test_out_neighborhood_one_hop(self):
+    def test_reachable_within_one_hop(self):
         g = path_graph(3)
-        assert out_neighborhood(g, 2, 1) == {1, 2}
+        assert reachable_within(g, 0, 1) == {0, 1}
 
-    def test_out_neighborhood_two_hops(self):
+    def test_reachable_within_two_hops(self):
         g = path_graph(3)
-        assert out_neighborhood(g, 2, 2) == {0, 1, 2}
+        assert reachable_within(g, 0, 2) == {0, 1, 2}
 
-    def test_out_neighborhood_range_check(self):
+    def test_reachable_within_range_check(self):
         g = path_graph(3)
         with pytest.raises(DataError):
-            out_neighborhood(g, 5, 1)
+            reachable_within(g, 5, 1)
         with pytest.raises(DataError):
-            out_neighborhood(g, 0, 0)
+            reachable_within(g, 0, 0)
 
-    def test_out_neighborhood_vs_reverse_bfs_oracle(self):
+    def test_reachable_within_vs_forward_path_oracle(self):
         import networkx as nx
 
         rng = np.random.default_rng(11)
         g = random_dag(rng, 30, 0.12)
-        nxg = nx.DiGraph(list(map(tuple, g.edges)))
-        nxg.add_nodes_from(range(g.n))
-        for v in range(g.n):
+        nxg = nx_digraph(g)
+        for u in range(g.n):
             for d in (1, 2, 4):
                 expect = {
-                    u
-                    for u in range(g.n)
+                    v
+                    for v in range(g.n)
                     if nx.has_path(nxg, u, v)
                     and nx.shortest_path_length(nxg, u, v) <= d
                 }
-                assert out_neighborhood(g, v, d) == expect
+                assert reachable_within(g, u, d) == expect
 
     def test_self_in_neighborhood_and_monotone(self):
         rng = np.random.default_rng(5)
         g = random_digraph(rng, 25, 0.08)
-        for v in range(g.n):
+        for u in range(g.n):
             prev = set()
             for d in (1, 2, 3):
-                cur = out_neighborhood(g, v, d)
-                assert v in cur
+                cur = reachable_within(g, u, d)
+                assert u in cur
                 assert prev <= cur
                 prev = cur
 
     def test_shortest_path_trivial(self):
         g = path_graph(3)
-        assert shortest_path_len(g, 1, 1) == 0
-        assert shortest_path_len(g, 0, 2) == 2
-        assert shortest_path_len(g, 2, 0) is None
+        assert bfs_distances(g, 1).tolist() == [-1, 0, 1]
+        assert bfs_distances(g, 0)[2] == 2
 
     def test_bfs_distances_matches_pairwise(self):
+        import networkx as nx
+
         rng = np.random.default_rng(1)
         g = random_digraph(rng, 20, 0.1)
-        dist = bfs_distances(g, g.source)
-        for v in range(g.n):
-            d = shortest_path_len(g, g.source, v)
-            assert dist[v] == (-1 if d is None else d)
+        lengths = nx.single_source_shortest_path_length(nx_digraph(g), g.source)
+        want = [lengths.get(v, -1) for v in range(g.n)]
+        assert bfs_distances(g, g.source).tolist() == want
 
     def test_reachable_within_is_inverse_of_covering(self):
+        """v's covering set, the u with v in reachable_within(u, d), is every
+        node within d hops upstream of v, as the coverage loss reads it."""
+        import networkx as nx
+
         rng = np.random.default_rng(8)
         g = random_digraph(rng, 20, 0.1)
+        upstream = nx_digraph(g).reverse()
         for d in (1, 2):
             downstream = {u: reachable_within(g, u, d) for u in range(g.n)}
             for v in range(g.n):
-                assert out_neighborhood(g, v, d) == {
-                    u for u in range(g.n) if v in downstream[u]
-                }
+                assert {u for u in range(g.n) if v in downstream[u]} == set(
+                    nx.single_source_shortest_path_length(upstream, v, cutoff=d)
+                )
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_cover_pairs_keep_bfs_visiting_order(self, d):

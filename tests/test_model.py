@@ -5,7 +5,7 @@ import pytest
 from conftest import path_graph, random_digraph
 
 from keynodes import model
-from keynodes.autodiff import ParamStore, Tape
+from keynodes.autodiff import Tape
 from keynodes.errors import DataError, ShapeError
 from keynodes.features import featurize_graph, WalkConfig
 from keynodes.graphs import CascadeGraph, UserRecord, synth_cascade
@@ -391,7 +391,7 @@ def forward_scores(g, params, cfg, ablate=frozenset(), seed=0):
     """Forward with ``params`` minus the tensors ``ablate`` removes."""
     user, struct = featurize_graph(g, WalkConfig(), seed, 0)
     keep = param_shapes(cfg, ablate)
-    params = ParamStore({k: v for k, v in params.items() if k in keep})
+    params = {k: v for k, v in params.items() if k in keep}
     tape = Tape()
     fwd = mmen_forward(tape, g, user, struct, params, cfg)
     return tape, fwd
@@ -516,10 +516,10 @@ class TestForward:
 
 class TestParams:
     def test_ablations_shrink_param_set(self):
-        full = set(init_params(SMALL, 0).names())
-        no_mem = set(init_params(SMALL, 0, {"no-memory"}).names())
-        no_user = set(init_params(SMALL, 0, {"no-user"}).names())
-        no_fusion = set(init_params(SMALL, 0, {"no-fusion"}).names())
+        full = set(init_params(SMALL, 0))
+        no_mem = set(init_params(SMALL, 0, {"no-memory"}))
+        no_user = set(init_params(SMALL, 0, {"no-user"}))
+        no_fusion = set(init_params(SMALL, 0, {"no-fusion"}))
         assert not any(".mem" in n for n in no_mem)
         assert not any(n.startswith("user.") for n in no_user)
         assert "fusion.W" not in no_user  # fusion is meaningless without both views
@@ -537,7 +537,7 @@ class TestParams:
         extra["rogue"] = np.zeros((1, 1))
         with pytest.raises(ShapeError, match="rogue"):
             validate_params(extra, SMALL)
-        trimmed = ParamStore({k: v for k, v in params.items() if k != "fusion.b"})
+        trimmed = {k: v for k, v in params.items() if k != "fusion.b"}
         with pytest.raises(ShapeError, match="fusion.b"):
             validate_params(trimmed, SMALL)
 
@@ -586,7 +586,7 @@ class TestParams:
             uniform("fusion.b", 2 * L, (1, 2))
 
         got = init_params(SMALL, 5, ablate)
-        assert got.names() == list(ref)
+        assert list(got) == list(ref)
         assert all(np.array_equal(got[k], v) for k, v in ref.items())
 
 

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from conftest import path_graph, random_digraph
 
-from keynodes.autodiff import ParamStore, Tape
+from keynodes.autodiff import Tape
 from keynodes.errors import DataError, NumericError, ShapeError
 from keynodes.features import WalkConfig
-from keynodes.graphs import CascadeGraph, out_neighborhood, synth_cascade
+from keynodes.graphs import CascadeGraph, synth_cascade
 from keynodes import model, training
 from keynodes.features import featurize_graph
 from keynodes.model import (
@@ -50,14 +50,24 @@ def loss_grad(g, s, lam=1.0, d=1):
     return tape.nodes[sid].grad.ravel()
 
 
+def cover_sets(g, d):
+    """Per node v, the nodes whose selection covers v: v and every u with a
+    directed path u -> v of at most d hops (networkx, upstream from v)."""
+    import networkx as nx
+
+    upstream = nx.DiGraph([(b, a) for a, b in g.edges.tolist()])
+    upstream.add_nodes_from(range(g.n))
+    return [set(nx.single_source_shortest_path_length(upstream, v, cutoff=d)) for v in range(g.n)]
+
+
 def enumeration_expected_uncovered(g, s, d):
     """Exhaustive 2^N expectation of the uncovered-node count under
     independent Bernoulli(s_v) seed draws."""
     n = g.n
     cover_masks = []
-    for v in range(n):
+    for cover in cover_sets(g, d):
         mask = 0
-        for u in out_neighborhood(g, v, d):
+        for u in cover:
             mask |= 1 << u
         cover_masks.append(mask)
     total = 0.0
@@ -96,7 +106,7 @@ class TestCoverageLoss:
         g = random_digraph(rng, 10, 0.2)
         s = rng.uniform(0.1, 0.9, size=10)
         first_term = loss_value(g, s, lam=1.0, d=1) - s.sum()
-        covers = [np.fromiter(out_neighborhood(g, v, 1), dtype=int) for v in range(g.n)]
+        covers = [np.fromiter(c, dtype=int) for c in cover_sets(g, 1)]
         draws = 200_000
         picks = rng.random((draws, g.n)) < s
         uncovered = np.zeros(draws)
@@ -112,7 +122,7 @@ class TestCoverageLoss:
         s = rng.uniform(0.1, 0.9, size=8)
         lam = 1.3
         grad = loss_grad(g, s, lam=lam)
-        covers = [out_neighborhood(g, v, 1) for v in range(g.n)]
+        covers = cover_sets(g, 1)
         for u in range(g.n):
             want = lam
             for v in range(g.n):
@@ -144,13 +154,13 @@ class TestCoverageLoss:
 
 class TestAdam:
     def test_zero_gradient_no_move(self):
-        params = ParamStore({"w": np.array([[1.0, -2.0]])})
+        params = {"w": np.array([[1.0, -2.0]])}
         state = AdamState.for_params(params)
         adam_step(params, {"w": np.zeros((1, 2))}, state, lr=0.1)
         assert np.array_equal(params["w"], np.array([[1.0, -2.0]]))
 
     def test_first_step_magnitude(self):
-        params = ParamStore({"w": np.zeros((1, 3))})
+        params = {"w": np.zeros((1, 3))}
         state = AdamState.for_params(params)
         adam_step(params, {"w": np.ones((1, 3))}, state, lr=0.01)
         assert np.abs(params["w"] + 0.01).max() < 1e-6  # ~= -lr after bias correction
@@ -158,7 +168,7 @@ class TestAdam:
     def test_convex_quadratic_descends(self):
         rng = np.random.default_rng(6)
         target = rng.normal(size=(4, 4))
-        params = ParamStore({"w": np.zeros((4, 4))})
+        params = {"w": np.zeros((4, 4))}
         state = AdamState.for_params(params)
         losses = []
         for _ in range(100):
@@ -220,7 +230,8 @@ class TestTrain:
         a = train(graphs[:3], graphs[3:], cfg, model_cfg=TINY)
         b = train(graphs[:3], graphs[3:], cfg, model_cfg=TINY)
         assert a.history == b.history
-        assert np.array_equal(a.params.flat(), b.params.flat())
+        assert list(a.params) == list(b.params)
+        assert all(np.array_equal(a.params[k], v) for k, v in b.params.items())
 
     def test_loss_drops_twenty_percent(self):
         graphs = tiny_dataset(20, seed=3, n_nodes=30)
@@ -258,7 +269,7 @@ class TestTrain:
     def test_init_missing_tensor_rejected_before_training(self, monkeypatch):
         graphs = tiny_dataset(2, seed=4)
         init = init_params(TINY, rng_seed=0)
-        partial = ParamStore({k: v for k, v in init.items() if k != "fusion.b"})
+        partial = {k: v for k, v in init.items() if k != "fusion.b"}
         monkeypatch.setattr(training, "featurize_graph", lambda *a, **k: pytest.fail("featurized"))
         with pytest.raises(ShapeError, match="fusion.b"):
             train(graphs[:1], graphs[1:], TrainConfig(epochs=1), model_cfg=TINY, init=partial)
@@ -327,7 +338,7 @@ class TestTrain:
             _, loss = training._graph_loss(tape, bundle, params, binding, TINY, cfg)
             tape.backward(loss)
             per_graph.append({k: v.copy() for k, v in collect_grads(tape, binding).items()})
-        assert len(steps) == 1 and set(steps[0]) == set(params.names())
+        assert len(steps) == 1 and set(steps[0]) == set(params)
         for name, g in steps[0].items():
             assert np.array_equal(g, per_graph[0][name] + per_graph[1][name]), name
 
@@ -407,7 +418,7 @@ class TestTwoProcesses:
         one, one_seen = self.run(monkeypatch, 1, graphs, cfg, ablate=ablate)
         assert many.history == one.history and many.best_epoch == one.best_epoch
         assert many_seen == one_seen  # everything on_epoch sees but the wall time
-        assert many.params.names() == one.params.names()
+        assert list(many.params) == list(one.params)
         for name, value in one.params.items():
             assert many.params[name].tobytes() == value.tobytes(), name
 
@@ -452,7 +463,7 @@ class TestTwoProcesses:
 
 def _store(cfg, ablate=frozenset()):
     keep = param_shapes(cfg, ablate)
-    return ParamStore({k: v for k, v in init_params(cfg, 0).items() if k in keep})
+    return {k: v for k, v in init_params(cfg, 0).items() if k in keep}
 
 
 class TestScoreGraph:
